@@ -1,12 +1,15 @@
 """Virtual-time model of a shared disk under contention.
 
 The latency a probe observes grows with the number of concurrently
-active accessor tasks: base + slope * k. Demand is built per virtual
-millisecond from the sender schedule plus an optional interferer, pushed
-through a capacity cap (demand above capacity_accessors queues up as
-backlog and keeps the disk saturated after the demanders stop), averaged
-into raw probe reads, perturbed by seeded noise, and finally aggregated
-into probing windows.
+active accessor tasks: base + slope * k. Demand is piecewise constant:
+it only changes at the edges of the sender's intervals (shifted by the
+lead-in) and of the interferer's bursts. Between two such breakpoints
+the capacity cap (demand above capacity_accessors queues up as backlog
+and keeps the disk saturated after the demanders stop) follows a closed
+form, so the served work at each raw read boundary comes out exactly, in
+integers, without stepping through the run millisecond by millisecond.
+That noiseless raw trace is the same for every seed; noise is overlaid
+on it per seed, and the result is averaged into probing windows.
 
 Two noise terms ride on each raw read: white Gaussian measurement noise
 (noise_stddev_ms) and a slow mean-reverting baseline wander
@@ -124,6 +127,20 @@ class InterfererProfile:
             return np.where((t % self.period_ms) < self.burst_ms, self.load, 0)
         return np.zeros(run_ms, dtype=np.int64)
 
+    def demand_steps(self, run_ms: int) -> tuple[np.ndarray, np.ndarray]:
+        """Times in [0, run_ms) where demand_per_ms changes, and by how much."""
+        if self.kind == "stress":
+            return np.array([0], dtype=np.int64), np.array([self.load], dtype=np.int64)
+        if self.kind == "benchmark":
+            on = np.arange(0, run_ms, self.period_ms, dtype=np.int64)
+            off = on + self.burst_ms
+            off = off[off < run_ms]
+            steps = np.repeat(np.array([self.load, -self.load], dtype=np.int64),
+                              (on.size, off.size))
+            return np.concatenate((on, off)), steps
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+
 
 @dataclass(frozen=True)
 class ContentionTrace:
@@ -152,8 +169,11 @@ class ContentionTrace:
         values: list[float] = []
         for line in lines[1:]:
             start_s, value_s = line.split(",")
+            value = float(value_s)
+            if not math.isfinite(value):
+                raise ValueError(f"trace value {value_s.strip()!r} is not finite")
             starts.append(int(start_s))
-            values.append(float(value_s))
+            values.append(value)
         if len(starts) < 2:
             raise ValueError("trace needs at least two windows")
         pri = starts[1] - starts[0]
@@ -168,6 +188,8 @@ def served_load(demand: np.ndarray, capacity: int) -> np.ndarray:
     Demand above capacity accumulates as backlog and is worked off at full
     capacity once demand drops (Lindley recursion over 1 ms steps). The
     result is the time-weighted active load within each millisecond.
+    noiseless_raw_trace solves the same recursion per constant-demand
+    segment instead of per millisecond.
     """
     if demand.size == 0 or int(demand.max(initial=0)) <= capacity:
         return demand
@@ -187,19 +209,57 @@ def _baseline_wander(rng: np.random.Generator, n: int, disk: DiskModel) -> np.nd
     return wander
 
 
-def simulate(
+def whole_windows(span_ms: int, pri_ms: int) -> int:
+    """Shortest run of whole pri_ms probing windows that covers span_ms."""
+    if pri_ms < 1:
+        raise WindowMismatch(f"pri_ms must be >= 1, got {pri_ms}")
+    return -(-span_ms // pri_ms) * pri_ms
+
+
+def _demand_segments(
+    schedule: AccessSchedule,
+    interferer: InterfererProfile,
+    run_duration_ms: int,
+    lead_in_ms: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start time and demand of each constant-demand segment of the run.
+
+    The first segment starts at 0; the last one ends at run_duration_ms.
+    """
+    times, steps = interferer.demand_steps(run_duration_ms)
+    if schedule.intervals:
+        edges = np.asarray(schedule.intervals, dtype=np.int64) + lead_in_ms
+        n = schedule.n_accessors
+        times = np.concatenate((times, edges[:, 0], edges[:, 1]))
+        steps = np.concatenate(
+            (steps, np.repeat(np.array([n, -n], dtype=np.int64), len(edges)))
+        )
+    times = np.concatenate((np.zeros(1, dtype=np.int64), times))
+    steps = np.concatenate((np.zeros(1, dtype=np.int64), steps))
+    inside = times < run_duration_ms
+    starts, segment = np.unique(times[inside], return_inverse=True)
+    change = np.zeros(starts.size, dtype=np.int64)
+    np.add.at(change, segment, steps[inside])
+    return starts, np.cumsum(change)
+
+
+def noiseless_raw_trace(
     schedule: AccessSchedule,
     disk: DiskModel,
     interferer: InterfererProfile,
     pri_ms: int,
     run_duration_ms: int,
     lead_in_ms: int = 0,
-    seed: int = 0,
-) -> ContentionTrace:
-    """Produce the receiver-side contention trace for one run.
+) -> np.ndarray:
+    """Mean latency of each raw read period of the run, before any noise.
 
     The schedule is shifted right by lead_in_ms; the interferer is anchored
     at virtual time zero. Windows of pri_ms must tile the run exactly.
+    Within a segment of constant demand d starting with backlog B, the
+    backlog after k ms is max(0, B + k (d - capacity)) and the work served
+    is k d plus the backlog drained, so the served work at every raw read
+    boundary follows from the segment it falls in. The result is read-only
+    so that every trial of a run can share it.
 
     Raises:
         WindowMismatch: run_duration_ms is not a multiple of pri_ms, or
@@ -220,6 +280,8 @@ def simulate(
         )
     if lead_in_ms < 0:
         raise ValueError("lead_in_ms must be non-negative")
+    if any(not 0 <= start <= end for start, end in schedule.intervals):
+        raise ValueError("schedule intervals must satisfy 0 <= start <= end")
     last_end = max((end for _, end in schedule.intervals), default=0)
     if lead_in_ms + last_end > run_duration_ms:
         raise ValueError(
@@ -227,18 +289,40 @@ def simulate(
             f"{run_duration_ms} ms run"
         )
 
-    demand = interferer.demand_per_ms(run_duration_ms)
-    if schedule.intervals:
-        demand = demand.copy()
-        for start, end in schedule.intervals:
-            demand[lead_in_ms + start : lead_in_ms + end] += schedule.n_accessors
-    active = served_load(demand, disk.capacity_accessors)
+    starts, demand = _demand_segments(schedule, interferer, run_duration_ms, lead_in_ms)
+    lengths = np.diff(starts, append=run_duration_ms)
+    surplus = demand - disk.capacity_accessors
+    # Cumulative demand and Lindley backlog at each segment start.
+    arrived = np.concatenate(([0], np.cumsum(demand * lengths)[:-1]))
+    drift = np.concatenate(([0], np.cumsum(surplus * lengths)[:-1]))
+    backlog = drift - np.minimum.accumulate(drift)
 
-    latency = disk.base_latency_ms + disk.contention_slope_ms * active.astype(
-        np.float64
+    period = disk.raw_sample_period_ms
+    edges = np.arange(0, run_duration_ms + 1, period, dtype=np.int64)
+    seg = np.searchsorted(starts, edges, side="right") - 1
+    into = edges - starts[seg]
+    served = (
+        arrived[seg]
+        + demand[seg] * into
+        - np.maximum(0, backlog[seg] + surplus[seg] * into)
     )
-    raw = latency.reshape(-1, disk.raw_sample_period_ms).mean(axis=1)
+    # Same sum as averaging base + slope * load over each read, exact when
+    # the latencies are integers as with the default model.
+    work = np.diff(served)
+    raw = (period * disk.base_latency_ms + disk.contention_slope_ms * work) / period
+    raw.flags.writeable = False
+    return raw
 
+
+def overlay_noise(
+    raw: np.ndarray, disk: DiskModel, pri_ms: int, seed: int = 0
+) -> ContentionTrace:
+    """Add one seed's noise to a noiseless raw trace and average into windows.
+
+    The generator is drawn for the wander start, the wander innovations and
+    then the white noise, in that order, skipping the terms the disk model
+    sets to zero.
+    """
     rng = np.random.default_rng(seed)
     noisy = raw
     if disk.wander_stddev_ms > 0:
@@ -250,8 +334,28 @@ def simulate(
 
     per_window = pri_ms // disk.raw_sample_period_ms
     values = noisy.reshape(-1, per_window).mean(axis=1)
-    starts = tuple(range(0, run_duration_ms, pri_ms))
-    return ContentionTrace(pri_ms, starts, tuple(float(v) for v in values))
+    starts = tuple(range(0, raw.size * disk.raw_sample_period_ms, pri_ms))
+    return ContentionTrace(pri_ms, starts, tuple(values.tolist()))
+
+
+def simulate(
+    schedule: AccessSchedule,
+    disk: DiskModel,
+    interferer: InterfererProfile,
+    pri_ms: int,
+    run_duration_ms: int,
+    lead_in_ms: int = 0,
+    seed: int = 0,
+) -> ContentionTrace:
+    """Produce the receiver-side contention trace for one run.
+
+    The noiseless raw trace of noiseless_raw_trace with the noise of
+    overlay_noise on top; see those for the model and the errors raised.
+    """
+    raw = noiseless_raw_trace(
+        schedule, disk, interferer, pri_ms, run_duration_ms, lead_in_ms
+    )
+    return overlay_noise(raw, disk, pri_ms, seed)
 
 
 def control_probe_trace(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -25,12 +24,14 @@ from .channel import (
     InterfererProfile,
     read_channel_config,
     simulate,
+    whole_windows,
 )
 from .errors import DecodeError, DiskChannelError
 from .experiment import (
     ROBUSTNESS_POINT,
     ChannelParams,
     ExperimentSpec,
+    prepare_transmission,
     reports_to_csv,
     robustness_scenarios,
     scenarios_to_csv,
@@ -95,10 +96,6 @@ def _build_schedule(payload: Bits, args: argparse.Namespace) -> AccessSchedule:
     return build_access_schedule(tcv, SenderConfig(args.bt, args.n, args.th))
 
 
-def _round_up(value: int, step: int) -> int:
-    return math.ceil(value / step) * step
-
-
 def cmd_encode(args: argparse.Namespace) -> int:
     schedule = _build_schedule(_message_bits(args), args)
     _write_output(schedule.to_text(), args.output)
@@ -117,7 +114,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     disk, interferer = _disk_and_interferer(args)
     duration = args.duration
     if duration is None:
-        duration = _round_up(args.lead_in + schedule.total_duration_ms, args.pri)
+        duration = whole_windows(args.lead_in + schedule.total_duration_ms, args.pri)
     trace = simulate(
         schedule,
         disk,
@@ -133,21 +130,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_transmit(args: argparse.Namespace) -> int:
     payload = _message_bits(args)
-    schedule = _build_schedule(payload, args)
     disk, interferer = _disk_and_interferer(args)
-    lead_in = 2 * args.bt if args.lead_in is None else args.lead_in
-    duration = _round_up(
-        lead_in + schedule.total_duration_ms + args.bt, args.pri
+    params = ChannelParams(args.bt, args.pri, args.n, args.th)
+    transmission = prepare_transmission(
+        params, payload, disk, interferer, lead_in_ms=args.lead_in
     )
-    trace = simulate(
-        schedule,
-        disk,
-        interferer,
-        pri_ms=args.pri,
-        run_duration_ms=duration,
-        lead_in_ms=lead_in,
-        seed=args.seed,
-    )
+    schedule = transmission.schedule
+    trace = transmission.trace(args.seed)
     decoded = decode_message(trace, DecoderConfig(args.bt, args.pri))
     errors = sum(1 for a, b in zip(payload, decoded) if a != b)
     errors += abs(len(payload) - len(decoded))
@@ -202,7 +191,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     disk, interferer = _disk_and_interferer(args)
     idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
-    duration = _round_up(args.duration, args.pri)
+    duration = whole_windows(args.duration, args.pri)
     trace = simulate(
         idle,
         disk,

@@ -10,16 +10,24 @@ charged the whole payload.
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bits import Bits, random_bits
-from .channel import DiskModel, InterfererProfile, simulate
+from .channel import (
+    ContentionTrace,
+    DiskModel,
+    InterfererProfile,
+    noiseless_raw_trace,
+    overlay_noise,
+    whole_windows,
+)
 from .errors import DecodeError
 from .framing import encapsulate
 from .receiver import DecoderConfig, decode_message
-from .sender import SenderConfig, build_access_schedule, encode_tcv
+from .sender import AccessSchedule, SenderConfig, build_access_schedule, encode_tcv
 
 
 @dataclass(frozen=True)
@@ -30,6 +38,18 @@ class ChannelParams:
     probe_interval_ms: int
     n_accessors: int = 5
     threshold: float = 0.9
+
+    def __post_init__(self) -> None:
+        if self.bit_time_ms < 1:
+            raise ValueError(f"bit_time_ms must be >= 1, got {self.bit_time_ms}")
+        if self.probe_interval_ms < 1:
+            raise ValueError(
+                f"probe_interval_ms must be >= 1, got {self.probe_interval_ms}"
+            )
+        if self.n_accessors < 1:
+            raise ValueError(f"n_accessors must be >= 1, got {self.n_accessors}")
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
 
 
 # Operating points with workable error rates under moderate noise, from
@@ -99,34 +119,72 @@ def _count_payload_errors(expected: Bits, got: Bits) -> int:
     return min(errors, len(expected))
 
 
-def run_trial(spec: ExperimentSpec, trial: int, payload: Bits) -> tuple[int, str | None]:
-    """One framed transmission; returns (bit errors, failed phase or None)."""
-    p = spec.params
-    frame = encapsulate(payload)
-    tcv = encode_tcv(frame, p.bit_time_ms)
-    sender = SenderConfig(p.bit_time_ms, p.n_accessors, p.threshold)
+@dataclass(frozen=True, eq=False)
+class Transmission:
+    """One payload framed, scheduled and sent through the noiseless disk.
+
+    This is the part of a trial that does not depend on its seed; every
+    trial of a run_ber shares it and only draws its own noise.
+    """
+
+    params: ChannelParams
+    disk: DiskModel
+    schedule: AccessSchedule
+    raw: np.ndarray
+
+    def trace(self, seed: int) -> ContentionTrace:
+        """The probe trace under this seed's noise."""
+        return overlay_noise(self.raw, self.disk, self.params.probe_interval_ms, seed)
+
+
+def prepare_transmission(
+    params: ChannelParams,
+    payload: Bits,
+    disk: DiskModel,
+    interferer: InterfererProfile,
+    lead_in_ms: int | None = None,
+    tail_ms: int | None = None,
+) -> Transmission:
+    """Frame and schedule the payload, then run it through the noiseless disk.
+
+    The run is an idle lead-in (two bit times unless given), the schedule,
+    an idle tail (one bit time unless given), rounded up to whole probing
+    windows.
+    """
+    bit_time, pri = params.bit_time_ms, params.probe_interval_ms
+    tcv = encode_tcv(encapsulate(payload), bit_time)
+    sender = SenderConfig(bit_time, params.n_accessors, params.threshold)
     schedule = build_access_schedule(tcv, sender)
 
-    lead_in = 2 * p.bit_time_ms if spec.lead_in_ms is None else spec.lead_in_ms
-    tail = p.bit_time_ms if spec.tail_ms is None else spec.tail_ms
-    span = lead_in + schedule.total_duration_ms + tail
-    run_ms = math.ceil(span / p.probe_interval_ms) * p.probe_interval_ms
+    lead_in = 2 * bit_time if lead_in_ms is None else lead_in_ms
+    tail = bit_time if tail_ms is None else tail_ms
+    run_ms = whole_windows(lead_in + schedule.total_duration_ms + tail, pri)
+    raw = noiseless_raw_trace(schedule, disk, interferer, pri, run_ms, lead_in)
+    return Transmission(params, disk, schedule, raw)
 
-    trace = simulate(
-        schedule,
-        spec.disk,
-        spec.interferer,
-        pri_ms=p.probe_interval_ms,
-        run_duration_ms=run_ms,
-        lead_in_ms=lead_in,
-        seed=spec.base_seed + trial,
+
+def _spec_transmission(spec: ExperimentSpec, payload: Bits) -> Transmission:
+    return prepare_transmission(
+        spec.params, payload, spec.disk, spec.interferer, spec.lead_in_ms, spec.tail_ms
     )
+
+
+def _decode_trial(
+    transmission: Transmission, seed: int, payload: Bits
+) -> tuple[int, str | None]:
+    p = transmission.params
     decoder = DecoderConfig(p.bit_time_ms, p.probe_interval_ms)
     try:
-        decoded = decode_message(trace, decoder)
+        decoded = decode_message(transmission.trace(seed), decoder)
     except DecodeError as exc:
         return len(payload), exc.phase
     return _count_payload_errors(payload, decoded), None
+
+
+def run_trial(spec: ExperimentSpec, trial: int, payload: Bits) -> tuple[int, str | None]:
+    """One framed transmission; returns (bit errors, failed phase or None)."""
+    transmission = _spec_transmission(spec, payload)
+    return _decode_trial(transmission, spec.base_seed + trial, payload)
 
 
 def run_ber(spec: ExperimentSpec) -> BerReport:
@@ -134,13 +192,17 @@ def run_ber(spec: ExperimentSpec) -> BerReport:
 
     The payload is fixed by payload_seed so that every trial (and every
     scenario sharing the spec) transmits the same bits; only the channel
-    seed varies.
+    seed varies, so the noiseless transmission is prepared once and each
+    trial is run_trial's noise and decode on top of it.
     """
     payload = random_bits(spec.payload_bits, spec.payload_seed)
+    transmission = _spec_transmission(spec, payload)
     bit_errors = 0
     phases: Counter[str] = Counter()
     for trial in range(spec.n_trials):
-        errors, failed_phase = run_trial(spec, trial, payload)
+        errors, failed_phase = _decode_trial(
+            transmission, spec.base_seed + trial, payload
+        )
         bit_errors += errors
         if failed_phase is not None:
             phases[failed_phase] += 1

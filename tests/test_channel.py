@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diskchannel import (
     NOISE_PRESETS,
+    AccessSchedule,
     ContentionTrace,
     DiskModel,
     InterfererProfile,
@@ -107,6 +110,57 @@ def test_noiseless_simulation_matches_loop_oracle_under_overload():
     assert list(trace.values_ms) == pytest.approx(oracle, rel=0, abs=1e-9)
 
 
+@st.composite
+def channel_runs(draw):
+    """A small run: random intervals, lead-in, disk and interferer."""
+    period = draw(st.sampled_from((1, 5, 10)))
+    pri = period * draw(st.integers(1, 4))
+    run_ms = pri * draw(st.integers(1, 40))
+    lead_in = draw(st.integers(0, run_ms))
+    span = run_ms - lead_in
+    # arbitrary, possibly overlapping or empty, intervals inside the span
+    intervals = draw(st.lists(
+        st.tuples(st.integers(0, span), st.integers(0, span)).map(sorted).map(tuple),
+        max_size=8,
+    ))
+    n = draw(st.integers(1, 16))
+    schedule = AccessSchedule(tuple(intervals), n, span)
+    disk = DiskModel(
+        raw_sample_period_ms=period, capacity_accessors=draw(st.integers(1, 16))
+    )
+    kind = draw(st.sampled_from(("none", "benchmark", "stress")))
+    if kind == "benchmark":
+        period_ms = draw(st.integers(1, run_ms + 50))
+        interferer = InterfererProfile(
+            kind, draw(st.integers(0, 16)), period_ms, draw(st.integers(1, period_ms))
+        )
+    else:
+        interferer = InterfererProfile(kind, draw(st.integers(0, 16)))
+    return schedule, disk, interferer, pri, run_ms, lead_in
+
+
+@settings(max_examples=200, deadline=None)
+@given(channel_runs())
+def test_noiseless_simulation_matches_loop_oracle_on_random_runs(run):
+    schedule, disk, interferer, pri, run_ms, lead_in = run
+    trace = simulate(schedule, disk, interferer, pri, run_ms, lead_in, seed=3)
+    oracle = noiseless_trace_loop(schedule, disk, interferer, pri, run_ms, lead_in)
+    assert list(trace.values_ms) == pytest.approx(oracle, rel=0, abs=1e-9)
+
+
+def test_moderate_noise_trace_bytes_are_pinned():
+    # Exact bytes of one noisy trace with overload: the noiseless levels, the
+    # noise draws and their order all feed it, so none can change unnoticed.
+    schedule = make_schedule((1, 0, 1, 1, 0, 0, 1, 0), bit_time=200, n=5)
+    interferer = InterfererProfile("benchmark", load=9, period_ms=700, burst_ms=300)
+    trace = simulate(
+        schedule, DiskModel.preset("moderate"), interferer, 200, 2400,
+        lead_in_ms=300, seed=7,
+    )
+    digest = hashlib.sha256(trace.to_csv().encode()).hexdigest()
+    assert digest == "9468012bf342e3cb2faec2f715390256ece3a4a96f07900f3ac699101c44baf7"
+
+
 def test_latency_levels_without_noise():
     schedule = make_schedule((1, 0), bit_time=100, n=5, th=1.0)
     disk = DiskModel()
@@ -142,6 +196,9 @@ def test_window_validation():
         simulate(schedule, disk, none, 100, 250)  # run not window aligned
     with pytest.raises(ValueError):
         simulate(schedule, disk, none, 100, 200, lead_in_ms=150)  # overflows
+    backwards = AccessSchedule(((50, 20),), 5, 100)
+    with pytest.raises(ValueError):
+        simulate(backwards, disk, none, 100, 200)
 
 
 def test_control_probe_trace_is_interference_free():
@@ -176,6 +233,13 @@ def test_trace_csv_rejects_bad_header():
 def test_trace_csv_rejects_uneven_spacing():
     csv = "window_start_ms,avg_access_time_ms\n0,10.0\n100,10.0\n300,10.0\n"
     with pytest.raises(ValueError):
+        ContentionTrace.from_csv(csv)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_trace_csv_rejects_non_finite_values(value):
+    csv = f"window_start_ms,avg_access_time_ms\n0,10.0\n100,{value}\n200,10.0\n"
+    with pytest.raises(ValueError, match="not finite"):
         ContentionTrace.from_csv(csv)
 
 

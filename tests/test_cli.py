@@ -102,6 +102,26 @@ def test_bad_config_exit_two(capsys, tmp_path):
     assert "unknown config key" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "pri", "--values", "0", "--bt", "1000", "--pri", "40",
+     "--trials", "1"],
+    ["probe", "--pri", "0", "--duration", "1000"],
+])
+def test_zero_probe_interval_exit_two(capsys, argv):
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error:")
+
+
+def test_non_finite_trace_exit_two(capsys, tmp_path):
+    trace = tmp_path / "nan.csv"
+    rows = [f"{t},{'nan' if t == 1500 else 10.0}" for t in range(0, 3000, 100)]
+    trace.write_text("window_start_ms,avg_access_time_ms\n" + "\n".join(rows) + "\n")
+    code, _, stderr = run(capsys, "decode", str(trace), *BT, *PRI)
+    assert code == 2
+    assert "not finite" in stderr
+
+
 def test_sweep_csv_deterministic(capsys):
     argv = [
         "sweep", "--axis", "n", "--values", "2,5", *BT, *PRI,

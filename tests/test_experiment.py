@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -7,8 +8,10 @@ from diskchannel import (
     ROBUSTNESS_POINT,
     BerReport,
     ChannelParams,
+    DiskModel,
     ExperimentSpec,
     InterfererProfile,
+    random_bits,
     reports_to_csv,
     robustness_scenarios,
     run_ber,
@@ -16,7 +19,7 @@ from diskchannel import (
     summary_table,
     sweep,
 )
-from diskchannel.experiment import _count_payload_errors
+from diskchannel.experiment import _count_payload_errors, run_trial
 
 FAST_POINT = ChannelParams(
     bit_time_ms=500, probe_interval_ms=100, n_accessors=5, threshold=0.9
@@ -50,6 +53,22 @@ def test_run_ber_payload_is_seed_stable():
     a = run_ber(fast_spec(payload_seed=7))
     b = run_ber(fast_spec(payload_seed=7))
     assert a == b
+
+
+def test_run_ber_aggregates_run_trial():
+    spec = fast_spec(
+        n_trials=4,
+        base_seed=11,
+        disk=DiskModel.preset("moderate"),
+        interferer=InterfererProfile.stress(),
+    )
+    payload = random_bits(spec.payload_bits, spec.payload_seed)
+    trials = [run_trial(spec, t, payload) for t in range(spec.n_trials)]
+    phases = Counter(phase for _, phase in trials if phase is not None)
+    report = run_ber(spec)
+    assert report.bit_errors == sum(errors for errors, _ in trials)
+    assert report.decode_failures == sum(phases.values())
+    assert report.failure_phases == tuple(sorted(phases.items()))
 
 
 def test_count_payload_errors_caps_at_payload_length():
@@ -108,6 +127,18 @@ def test_summary_table_lines_up():
     table = summary_table(reports)
     assert len(table.splitlines()) == 2
     assert "ber" in table.splitlines()[0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bit_time_ms", 0),
+    ("probe_interval_ms", 0),
+    ("n_accessors", 0),
+    ("threshold", 0.0),
+    ("threshold", 1.5),
+])
+def test_channel_params_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(FAST_POINT, **{field: value})
 
 
 def test_spec_validation():

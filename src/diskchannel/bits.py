@@ -24,10 +24,11 @@ def as_bit_bytes(values: Iterable[int]) -> bytes:
     """Validate like as_bits, but return the bits as bytes, one bit per byte.
 
     A tuple or list of plain ints takes a fast path through ``bytes()``;
-    anything else, and any tuple or list that path rejects, is converted
-    with ``int()`` value by value and checked against the bit values. The
-    fast path is kept to tuples and lists because ``bytes()`` of an int or
-    of a numpy array gives zero bytes or the raw buffer, not the values.
+    anything else, and any tuple or list that path rejects, is checked
+    value by value against the bit values before it is converted with
+    ``int()``, so 1.0, True and numpy integers pass while 1.7 or "1" raise.
+    The fast path is kept to tuples and lists because ``bytes()`` of an int
+    or of a numpy array gives zero bytes or the raw buffer, not the values.
     """
     if isinstance(values, (tuple, list)):
         try:
@@ -37,11 +38,11 @@ def as_bit_bytes(values: Iterable[int]) -> bytes:
         else:
             if not data.translate(None, _BIT_BYTES):
                 return data
-    out = tuple(map(int, values))
-    if not _BIT_VALUES.issuperset(out):
-        bad = next(v for v in out if v not in _BIT_VALUES)
+    values = tuple(values)
+    if not _BIT_VALUES.issuperset(values):
+        bad = next(v for v in values if v not in _BIT_VALUES)
         raise ValueError(f"bit values must be 0 or 1, got {bad!r}")
-    return bytes(out)
+    return bytes(map(int, values))
 
 
 def bits_from_string(text: str) -> Bits:

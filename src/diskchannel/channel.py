@@ -21,7 +21,7 @@ deterministic per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -149,7 +149,6 @@ class ContentionTrace:
     probe_interval_ms: int
     window_starts_ms: tuple[int, ...]
     values_ms: tuple[float, ...]
-    label: str = field(default="trace", compare=False)
 
     def values(self) -> np.ndarray:
         return np.asarray(self.values_ms, dtype=np.float64)
@@ -161,7 +160,7 @@ class ContentionTrace:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, label: str = "trace") -> "ContentionTrace":
+    def from_csv(cls, text: str) -> "ContentionTrace":
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or lines[0] != "window_start_ms,avg_access_time_ms":
             raise ValueError("missing trace CSV header")
@@ -179,24 +178,7 @@ class ContentionTrace:
         pri = starts[1] - starts[0]
         if any(b - a != pri for a, b in zip(starts, starts[1:])):
             raise ValueError("window starts are not evenly spaced")
-        return cls(pri, tuple(starts), tuple(values), label=label)
-
-
-def served_load(demand: np.ndarray, capacity: int) -> np.ndarray:
-    """Per-ms load actually seen by the disk given a service capacity.
-
-    Demand above capacity accumulates as backlog and is worked off at full
-    capacity once demand drops (Lindley recursion over 1 ms steps). The
-    result is the time-weighted active load within each millisecond.
-    noiseless_raw_trace solves the same recursion per constant-demand
-    segment instead of per millisecond.
-    """
-    if demand.size == 0 or int(demand.max(initial=0)) <= capacity:
-        return demand
-    excess = demand - capacity
-    prefix = np.concatenate(([0], np.cumsum(excess)))
-    backlog = prefix - np.minimum.accumulate(prefix)
-    return demand + backlog[:-1] - backlog[1:]
+        return cls(pri, tuple(starts), tuple(values))
 
 
 def _baseline_wander(rng: np.random.Generator, n: int, disk: DiskModel) -> np.ndarray:
@@ -356,31 +338,6 @@ def simulate(
         schedule, disk, interferer, pri_ms, run_duration_ms, lead_in_ms
     )
     return overlay_noise(raw, disk, pri_ms, seed)
-
-
-def control_probe_trace(
-    schedule: AccessSchedule,
-    disk: DiskModel,
-    pri_ms: int,
-    run_duration_ms: int,
-    lead_in_ms: int = 0,
-    seed: int = 0,
-) -> ContentionTrace:
-    """Trace as seen by a third-party observer probing an otherwise idle disk.
-
-    Sampling semantics are identical to simulate without an interferer;
-    only the label differs.
-    """
-    trace = simulate(
-        schedule,
-        disk,
-        InterfererProfile.none(),
-        pri_ms,
-        run_duration_ms,
-        lead_in_ms,
-        seed,
-    )
-    return replace(trace, label="probe")
 
 
 _DISK_KEYS = {

@@ -26,11 +26,12 @@ from .channel import (
     simulate,
     whole_windows,
 )
-from .errors import DecodeError, DiskChannelError
+from .errors import DecodeError, DiskChannelError, WindowMismatch
 from .experiment import (
     ROBUSTNESS_POINT,
     ChannelParams,
     ExperimentSpec,
+    count_payload_errors,
     prepare_transmission,
     reports_to_csv,
     robustness_scenarios,
@@ -104,6 +105,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     trace = ContentionTrace.from_csv(_read_input(args.trace))
+    if trace.probe_interval_ms != args.pri:
+        raise WindowMismatch(
+            f"trace windows are {trace.probe_interval_ms} ms apart, "
+            f"not --pri {args.pri}"
+        )
     payload = decode_message(trace, DecoderConfig(args.bt, args.pri))
     print(bits_to_text(payload) if args.text else bits_to_string(payload))
     return 0
@@ -138,8 +144,7 @@ def cmd_transmit(args: argparse.Namespace) -> int:
     schedule = transmission.schedule
     trace = transmission.trace(args.seed)
     decoded = decode_message(trace, DecoderConfig(args.bt, args.pri))
-    errors = sum(1 for a, b in zip(payload, decoded) if a != b)
-    errors += abs(len(payload) - len(decoded))
+    errors = count_payload_errors(payload, decoded)
     print(f"sent {len(payload)} payload bits over {schedule.total_duration_ms} ms")
     print(f"decoded: {bits_to_string(decoded)}")
     if errors == 0:
@@ -200,7 +205,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         run_duration_ms=duration,
         seed=args.seed,
     )
-    _write_output(dataclasses.replace(trace, label="probe").to_csv(), args.output)
+    _write_output(trace.to_csv(), args.output)
     return 0
 
 

@@ -111,7 +111,7 @@ class BerReport:
         return self.bit_errors / self.total_bits
 
 
-def _count_payload_errors(expected: Bits, got: Bits) -> int:
+def count_payload_errors(expected: Bits, got: Bits) -> int:
     """Hamming distance over the overlap plus any length mismatch, capped."""
     overlap = min(len(expected), len(got))
     errors = sum(1 for a, b in zip(expected[:overlap], got[:overlap]) if a != b)
@@ -178,7 +178,7 @@ def _decode_trial(
         decoded = decode_message(transmission.trace(seed), decoder)
     except DecodeError as exc:
         return len(payload), exc.phase
-    return _count_payload_errors(payload, decoded), None
+    return count_payload_errors(payload, decoded), None
 
 
 def run_trial(spec: ExperimentSpec, trial: int, payload: Bits) -> tuple[int, str | None]:
@@ -271,20 +271,3 @@ def scenarios_to_csv(scenarios) -> str:
     lines = ["scenario," + CSV_HEADER]
     lines.extend(f"{name},{report_csv_row(r)}" for name, r in scenarios)
     return "\n".join(lines) + "\n"
-
-
-def summary_table(reports) -> str:
-    """Fixed-width text table, one row per report."""
-    header = (
-        f"{'bit_ms':>7} {'probe_ms':>8} {'accessors':>9} "
-        f"{'threshold':>9} {'interferer':>10} {'ber':>10} {'failures':>8}"
-    )
-    lines = [header]
-    for r in reports:
-        p = r.params
-        lines.append(
-            f"{p.bit_time_ms:>7} {p.probe_interval_ms:>8} {p.n_accessors:>9} "
-            f"{p.threshold:>9} {r.interferer_kind:>10} {r.ber:>10.4f} "
-            f"{r.decode_failures:>8}"
-        )
-    return "\n".join(lines)

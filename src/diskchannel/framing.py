@@ -37,9 +37,6 @@ SYMBOL_SYNC: Bits = (1, 0) * 8
 START_MARKER: Bits = (1, 1, 1, 1, 0, 0, 0, 0)
 END_MARKER: Bits = (0, 0, 0, 0, 1, 1, 1, 1)
 
-# Fixed framing cost: preamble plus both markers.
-FRAME_OVERHEAD_BITS = len(SYMBOL_SYNC) + len(START_MARKER) + len(END_MARKER)
-
 _SYNC_BYTES = bytes(SYMBOL_SYNC)
 _START_BYTES = bytes(START_MARKER)
 _END_BYTES = bytes(END_MARKER)

@@ -40,6 +40,12 @@ from .framing import START_MARKER, destuff_bits, find_end_marker
 # Minimum length of an alternating run accepted as (the tail of) a preamble.
 MIN_SYNC_RUN = 8
 
+# Phase 1 gives up when no window's variance spread across offsets exceeds this.
+VARIANCE_EPSILON = 1e-9
+
+# Upper bound on threshold correction rounds in decode_with_gab.
+MAX_GAB_ITERATIONS = 16
+
 
 @dataclass(frozen=True)
 class DecoderConfig:
@@ -54,8 +60,6 @@ class DecoderConfig:
 
     bit_time_ms: int
     probe_interval_ms: int
-    variance_epsilon: float = 1e-9
-    max_gab_iterations: int = 16
 
     def __post_init__(self) -> None:
         if self.bit_time_ms < 1 or self.probe_interval_ms < 1:
@@ -65,10 +69,6 @@ class DecoderConfig:
                 f"bit_time_ms {self.bit_time_ms} is not a multiple of "
                 f"probe_interval_ms {self.probe_interval_ms}"
             )
-        if self.variance_epsilon < 0:
-            raise ValueError("variance_epsilon must be non-negative")
-        if self.max_gab_iterations < 1:
-            raise ValueError("max_gab_iterations must be >= 1")
 
     @property
     def samples_per_bit(self) -> int:
@@ -88,13 +88,14 @@ class BitEstimates:
 
 @dataclass
 class DecodeDiagnostics:
-    """Per-phase artifacts collected by decode_message_with_diagnostics."""
+    """Per-phase artifacts collected by decode_message_with_diagnostics.
+
+    estimates is the threshold phase's output (offset, per-bit averages,
+    decisions, threshold history), None until that phase has run.
+    """
 
     onset_window: int = 0
-    offset_samples: int = 0
-    per_bit_avg: tuple[float, ...] = ()
-    decoded_bits: Bits = ()
-    gab_history: tuple[float, ...] = ()
+    estimates: BitEstimates | None = None
     sync_end: int | None = None
     payload_span: tuple[int, int] | None = None
 
@@ -115,7 +116,7 @@ def detect_bit_start(
 
     Raises:
         AmbiguousPhase: every window shows a variance spread below
-            variance_epsilon, so no offset is better than any other.
+            VARIANCE_EPSILON, so no offset is better than any other.
         ValueError: trace shorter than three bit times.
     """
     values = _sample_values(trace)
@@ -134,10 +135,10 @@ def detect_bit_start(
         candidates = variances[base : min(base + spb, variances.size)]
         votes[j] = int(np.argmin(candidates))
         spreads[j] = float(candidates.max() - candidates.min())
-    if float(spreads.max()) < config.variance_epsilon:
+    if float(spreads.max()) < VARIANCE_EPSILON:
         raise AmbiguousPhase(
             "no sampling offset shows a variance contrast above "
-            f"{config.variance_epsilon}"
+            f"{VARIANCE_EPSILON}"
         )
     counts = np.bincount(votes, minlength=spb)
     return int(np.argmax(counts))
@@ -171,7 +172,8 @@ def decode_with_gab(
     -(N1 - N0) * (V1 - V0) / (2 * (N1 + N0)), which re-centres it at the
     class midpoint and cancels the bias a skewed 1/0 mix puts on the
     global average. Iteration stops when the classification stabilises,
-    when both classes are equally large, or after max_gab_iterations.
+    when both classes are equally large, or after MAX_GAB_ITERATIONS.
+    config is not read; it keeps the call shape of the other phases.
 
     Raises:
         ConstantSignal: every average is identical.
@@ -186,7 +188,7 @@ def decode_with_gab(
     gab = float(averages.mean())
     history = [gab]
     decoded = averages > gab
-    for _ in range(config.max_gab_iterations):
+    for _ in range(MAX_GAB_ITERATIONS):
         n1 = int(decoded.sum())
         n0 = decoded.size - n1
         if n1 == 0 or n0 == 0:
@@ -313,16 +315,11 @@ def _decode_pipeline(
     active = values[onset:]
 
     offset = _run_phase(_PHASE_BIT_START, detect_bit_start, active, config)
-    diag.offset_samples = offset
-
     averages = _run_phase(_PHASE_AVERAGING, per_bit_averages, active, offset, config)
-    diag.per_bit_avg = averages
-
     estimates = _run_phase(
         _PHASE_THRESHOLD, decode_with_gab, averages, config, offset
     )
-    diag.decoded_bits = estimates.decoded
-    diag.gab_history = estimates.gab_history
+    diag.estimates = estimates
 
     sync_end = _run_phase(_PHASE_SYMBOL_SYNC, symbol_sync, estimates.decoded)
     diag.sync_end = sync_end

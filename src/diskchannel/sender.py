@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
-from .bits import Bits, as_bits
+from .bits import as_bits
 from .errors import DegenerateInterval, LeadingZero
 
 
@@ -183,21 +183,3 @@ def build_access_schedule(
         n_accessors=config.n_accessors,
         total_duration_ms=t,
     )
-
-
-def reconstruct_message(schedule: AccessSchedule, config: SenderConfig) -> Bits:
-    """Read the message back from a schedule by bit-slot overlap.
-
-    Bit i is 1 iff some interval overlaps [i * bt, i * bt + th * bt).
-    This is the sender-side sanity inverse of build_access_schedule.
-    """
-    bt = config.bit_time_ms
-    n_bits = schedule.total_duration_ms // bt
-    active_until = bt * config.threshold
-    bits = []
-    for i in range(n_bits):
-        slot_start = i * bt
-        slot_end = slot_start + active_until
-        hit = any(s < slot_end and e > slot_start for s, e in schedule.intervals)
-        bits.append(1 if hit else 0)
-    return tuple(bits)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,12 @@ def test_as_bits_names_first_non_bit_and_returns_ints():
         as_bits((0, 1, 2, 300, -1))
     with pytest.raises(ValueError, match="got 300$"):
         as_bits([0, 300, 2])
+
+
+@pytest.mark.parametrize(
+    "values, bad",
+    [((0, 1.7, 0.2), "1.7"), (["1", "0"], "'1'"), (np.array([0.5]), "0.5")],
+)
+def test_non_bits_raise_instead_of_truncating(values, bad):
+    with pytest.raises(ValueError, match=f"got .*{re.escape(bad)}"):
+        as_bits(values)

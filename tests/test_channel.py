@@ -1,6 +1,5 @@
 import hashlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,13 +12,12 @@ from diskchannel import (
     SenderConfig,
     WindowMismatch,
     build_access_schedule,
-    control_probe_trace,
     encode_tcv,
     parse_channel_config,
-    served_load,
     simulate,
 )
-from oracles import noiseless_trace_loop, served_load_loop
+from diskchannel.channel import noiseless_raw_trace
+from oracles import noiseless_trace_loop
 
 
 def make_schedule(bits, bit_time=100, n=5, th=0.9):
@@ -30,32 +28,25 @@ def make_schedule(bits, bit_time=100, n=5, th=0.9):
 # --- capacity / backlog ---
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=30), max_size=200),
-    st.integers(min_value=1, max_value=16),
-)
-def test_served_load_matches_scalar_recursion(demand, capacity):
-    got = served_load(np.asarray(demand, dtype=np.int64), capacity)
-    assert got.tolist() == served_load_loop(demand, capacity)
+def served_per_ms(intervals, n, capacity, run_ms):
+    """Work the disk serves in each ms: raw reads of 1 ms, inverted to load."""
+    schedule = AccessSchedule(intervals, n, run_ms)
+    disk = DiskModel(raw_sample_period_ms=1, capacity_accessors=capacity)
+    raw = noiseless_raw_trace(schedule, disk, InterfererProfile.none(), 1, run_ms)
+    return ((raw - disk.base_latency_ms) / disk.contention_slope_ms).tolist()
 
 
-def test_served_load_passthrough_below_capacity():
-    demand = np.array([1, 5, 12, 0, 3], dtype=np.int64)
-    assert served_load(demand, 12) is demand
-
-
-def test_served_load_spills_overload_into_idle_time():
+def test_noiseless_trace_spills_overload_into_idle_time():
     # 3 ms of demand 20 against capacity 12 leaves 24 queued units that
     # drain at full rate over the following 2 ms
-    demand = np.array([20, 20, 20, 0, 0, 0], dtype=np.int64)
-    assert served_load(demand, 12).tolist() == [12, 12, 12, 12, 12, 0]
+    served = served_per_ms(((0, 3),), 20, 12, 6)
+    assert served == [12, 12, 12, 12, 12, 0]
 
 
-def test_served_load_conserves_work():
-    demand = np.array([0, 25, 25, 0, 0, 0, 0], dtype=np.int64)
-    served = served_load(demand, 12)
-    assert served.sum() == demand.sum()
-    assert served.max() <= 12
+def test_noiseless_trace_conserves_work():
+    served = served_per_ms(((1, 3),), 25, 12, 7)
+    assert sum(served) == 50
+    assert max(served) <= 12
 
 
 # --- interferers ---
@@ -199,17 +190,6 @@ def test_window_validation():
     backwards = AccessSchedule(((50, 20),), 5, 100)
     with pytest.raises(ValueError):
         simulate(backwards, disk, none, 100, 200)
-
-
-def test_control_probe_trace_is_interference_free():
-    schedule = make_schedule((1, 0, 1, 0), bit_time=100)
-    disk = DiskModel()
-    probe = control_probe_trace(schedule, disk, 100, 600, lead_in_ms=100, seed=2)
-    direct = simulate(
-        schedule, disk, InterfererProfile.none(), 100, 600, lead_in_ms=100, seed=2
-    )
-    assert probe.values_ms == direct.values_ms
-    assert probe.label == "probe"
 
 
 # --- trace CSV and config files ---

@@ -71,6 +71,15 @@ def test_transmit_failure_exit_one(capsys):
     assert "decode failed during" in stderr or "bit errors:" in stdout
 
 
+def test_transmit_caps_bit_errors_at_payload_length(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "diskchannel.cli.decode_message", lambda trace, config: (0, 1) * 5
+    )
+    code, stdout, _ = run(capsys, "transmit", "--bits", "1011", *BT, *PRI)
+    assert code == 1
+    assert "bit errors: 4 (ber 1.0)" in stdout
+
+
 def test_decode_failure_exit_one(capsys, tmp_path):
     trace = tmp_path / "flat.csv"
     rows = "\n".join(f"{t},10.0" for t in range(0, 3000, 100))
@@ -110,6 +119,19 @@ def test_bad_config_exit_two(capsys, tmp_path):
 def test_zero_probe_interval_exit_two(capsys, argv):
     code, _, stderr = run(capsys, *argv)
     assert code == 2
+    assert stderr.startswith("error:")
+
+
+def test_decode_rejects_trace_with_other_window_spacing(capsys, tmp_path):
+    schedule = tmp_path / "schedule.txt"
+    trace = tmp_path / "trace.csv"
+    run(capsys, "encode", "--bits", "1011", "--bt", "1000", "--output", str(schedule))
+    run(capsys, "simulate", str(schedule), *PRI, "--output", str(trace))
+    code, stdout, stderr = run(
+        capsys, "decode", str(trace), "--bt", "1000", "--pri", "200"
+    )
+    assert code == 2
+    assert stdout == ""
     assert stderr.startswith("error:")
 
 

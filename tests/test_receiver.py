@@ -249,8 +249,8 @@ def test_diagnostics_capture_pipeline_state():
     assert decoded == payload
     assert diag.payload_span is not None
     assert diag.sync_end is not None
-    assert len(diag.per_bit_avg) >= len(payload) + 32
-    assert diag.gab_history
+    assert len(diag.estimates.per_bit_avg) >= len(payload) + 32
+    assert diag.estimates.gab_history
 
 
 def test_decode_with_moderate_noise_and_late_start():

@@ -4,6 +4,9 @@ Phase 1 finds where bits start: the trace is cut into disjoint windows of
 samples_per_bit samples, every same-length subsequence starting inside a
 window is scored by variance, and the modal argmin offset across windows
 wins (a correctly aligned window sits inside one bit and is nearly flat).
+Offsets within a relative tolerance of a window's minimum tie and the
+smallest votes; a window with no contrast at all (a noiseless plateau)
+abstains, except a truncated last window with a single candidate.
 Phase 2 averages each bit period and classifies against a global average
 threshold that is iteratively re-centred between the two class means.
 Phase 3 locates the alternating preamble, phase 4 checks the start marker
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bits import Bits, as_bit_bytes, as_bits
 from .channel import ContentionTrace
@@ -40,8 +42,12 @@ from .framing import START_MARKER, destuff_bits, find_end_marker
 # Minimum length of an alternating run accepted as (the tail of) a preamble.
 MIN_SYNC_RUN = 8
 
-# Phase 1 gives up when no window's variance spread across offsets exceeds this.
-VARIANCE_EPSILON = 1e-9
+# Phase 1 tie tolerance, relative to the trace variance: offsets whose
+# variances differ by at most VARIANCE_EPSILON * var(trace) tie. It sits
+# 150x or more above the cumulative-sum rounding (about 3 * N * eps * var
+# for traces of up to 10**6 samples); an absolute tolerance would fall
+# below that rounding on long traces with a large spread.
+VARIANCE_EPSILON = 1e-7
 
 # Upper bound on threshold correction rounds in decode_with_gab.
 MAX_GAB_ITERATIONS = 16
@@ -54,8 +60,8 @@ class DecoderConfig:
     samples_per_bit = bit_time_ms / probe_interval_ms must be an integer.
     The designed operating range is >= 2 samples per bit; a value of 1 is
     accepted so that degenerate probing (window as long as a bit) can be
-    driven on purpose, but phase 1 has no variance contrast there and will
-    raise AmbiguousPhase.
+    driven on purpose, but phase 1 then has a single candidate offset per
+    window, so no window shows a contrast and it raises AmbiguousPhase.
     """
 
     bit_time_ms: int
@@ -111,12 +117,23 @@ def detect_bit_start(
 ) -> int:
     """Modal minimum-variance offset of bit boundaries, in samples.
 
-    Ties inside a window go to the smaller offset, as does a tie between
-    offsets in the final vote.
+    Every samples_per_bit-long subsequence of the trace is scored by its
+    variance, in O(N) from cumulative sums of the mean-centred values.
+    The trace is cut into disjoint windows of samples_per_bit samples and
+    each window votes among the subsequences starting inside it, with
+    tol = VARIANCE_EPSILON * var(trace):
+
+    - offsets within tol of the window's minimum variance tie, and the
+      window votes the smallest of them;
+    - a window whose candidates all lie within tol of each other is flat
+      and abstains (noiseless plateaus, where every offset fits);
+    - a truncated last window with a single candidate still votes;
+    - the offset with the most votes wins, a tie going to the smaller.
 
     Raises:
-        AmbiguousPhase: every window shows a variance spread below
-            VARIANCE_EPSILON, so no offset is better than any other.
+        AmbiguousPhase: no window has two or more candidates whose
+            variances spread by more than tol, so no offset is better
+            than any other.
         ValueError: trace shorter than three bit times.
     """
     values = _sample_values(trace)
@@ -126,22 +143,30 @@ def detect_bit_start(
             f"need at least {3 * spb} samples for phase detection, "
             f"got {values.size}"
         )
-    variances = sliding_window_view(values, spb).var(axis=1)
+    # Centring keeps a large DC level out of the cumulative sums, whose
+    # rounding then stays near size * eps * var, far below tol.
+    x = values - values.mean()
+    s1 = np.concatenate(([0.0], np.cumsum(x)))
+    s2 = np.concatenate(([0.0], np.cumsum(x * x)))
+    means = (s1[spb:] - s1[:-spb]) / spb
+    variances = (s2[spb:] - s2[:-spb]) / spb - means * means
+    tol = VARIANCE_EPSILON * s2[-1] / values.size
+
     n_windows = values.size // spb
-    votes = np.empty(n_windows, dtype=np.int64)
-    spreads = np.empty(n_windows, dtype=np.float64)
-    for j in range(n_windows):
-        base = j * spb
-        candidates = variances[base : min(base + spb, variances.size)]
-        votes[j] = int(np.argmin(candidates))
-        spreads[j] = float(candidates.max() - candidates.min())
-    if float(spreads.max()) < VARIANCE_EPSILON:
+    grid = np.full(n_windows * spb, np.inf)
+    grid[: variances.size] = variances
+    grid = grid.reshape(n_windows, spb)
+    tied = grid <= grid.min(axis=1, keepdims=True) + tol
+    n_candidates = np.full(n_windows, spb)
+    n_candidates[-1] = variances.size - (n_windows - 1) * spb
+    contrast = tied.sum(axis=1) < n_candidates
+    if not contrast.any():
         raise AmbiguousPhase(
             "no sampling offset shows a variance contrast above "
-            f"{VARIANCE_EPSILON}"
+            f"{VARIANCE_EPSILON} of the trace variance"
         )
-    counts = np.bincount(votes, minlength=spb)
-    return int(np.argmax(counts))
+    votes = tied.argmax(axis=1)[contrast | (n_candidates == 1)]
+    return int(np.argmax(np.bincount(votes, minlength=spb)))
 
 
 def per_bit_averages(

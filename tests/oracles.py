@@ -13,6 +13,7 @@ import statistics
 from collections import Counter
 
 from diskchannel import AccessSchedule, DiskModel, InterfererProfile, MalformedStuffing
+from diskchannel.receiver import VARIANCE_EPSILON
 
 
 def served_load_loop(demand: list[int], capacity: int) -> list[float]:
@@ -54,25 +55,39 @@ def noiseless_trace_loop(
     ]
 
 
-def bit_start_vote_loop(values: list[float], samples_per_bit: int) -> int:
-    """Modal minimum-variance offset via explicit slices and pvariance."""
+def bit_start_vote_loop(
+    values: list[float], samples_per_bit: int, variances=None
+) -> int:
+    """Modal minimum-variance offset via explicit slices and pvariance.
+
+    variances[k] scores values[k : k + samples_per_bit]; when it is not
+    given, every score is statistics.pvariance of that slice. Offsets
+    within tol = VARIANCE_EPSILON * pvariance(values) of a window's
+    minimum tie and the smallest votes. A window whose candidates all lie
+    within tol of each other abstains, unless it is a truncated last
+    window with a single candidate. Raises ValueError when no window with
+    two or more candidates shows a spread above tol.
+    """
     spb = samples_per_bit
-    n_windows = len(values) // spb
+    n_candidates = len(values) - spb + 1
+    if variances is None:
+        variances = [
+            statistics.pvariance(values[k : k + spb]) for k in range(n_candidates)
+        ]
+    tol = VARIANCE_EPSILON * statistics.pvariance(values)
     votes: Counter[int] = Counter()
-    for j in range(n_windows):
+    contrast = False
+    for j in range(len(values) // spb):
         base = j * spb
-        best_offset = None
-        best_var = None
-        for offset in range(spb):
-            chunk = values[base + offset : base + offset + spb]
-            if len(chunk) < spb:
-                break
-            var = statistics.pvariance(chunk)
-            if best_var is None or var < best_var:
-                best_var = var
-                best_offset = offset
-        if best_offset is not None:
-            votes[best_offset] += 1
+        scores = variances[base : base + spb]
+        low = min(scores)
+        flat = max(scores) - low <= tol
+        if len(scores) > 1 and flat:
+            continue
+        contrast = contrast or not flat
+        votes[min(k for k, v in enumerate(scores) if v - low <= tol)] += 1
+    if not contrast:
+        raise ValueError("no window shows a variance contrast")
     top = max(votes.values())
     return min(offset for offset, count in votes.items() if count == top)
 

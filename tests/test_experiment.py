@@ -81,10 +81,10 @@ def test_run_ber_aggregates_run_trial():
 def noiseless_links(draw):
     """A payload, an operating point with 5..25 samples per bit and a lead-in.
 
-    The bounds th >= 0.6 and lead-in >= 4 probe windows mark open decoder
-    defects: below th 0.6 the trimmed lone 1s of a 1-heavy payload average
-    under the threshold, and a shorter lead-in gives the onset detector no
-    baseline, leaving the bit grid to a vote whose ties go to offset 0.
+    Lead-ins start at 0: under 4 probe windows the onset detector has no
+    baseline and returns 0, and the bit-grid vote ignores the flat idle
+    windows. The bound th >= 0.6 marks an open decoder defect: below it
+    the trimmed lone 1s of a 1-heavy payload average under the threshold.
     """
     pri = draw(st.sampled_from((10, 20, 30, 40, 100, 200, 400)))
     bit_time = pri * draw(st.integers(5, 25))
@@ -92,7 +92,7 @@ def noiseless_links(draw):
         bit_time, pri, draw(st.integers(1, 12)), draw(st.floats(0.6, 1.0))
     )
     payload = tuple(draw(st.lists(st.integers(0, 1), max_size=96)))
-    return params, payload, draw(st.integers(4 * pri, 5 * bit_time))
+    return params, payload, draw(st.integers(0, 5 * bit_time))
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,6 +101,18 @@ def test_noiseless_transmission_round_trips(link):
     params, payload, lead_in = link
     transmission = prepare_transmission(
         params, payload, DiskModel(), InterfererProfile.none(), lead_in
+    )
+    decoder = DecoderConfig(params.bit_time_ms, params.probe_interval_ms)
+    assert decode_message(transmission.trace(0), decoder) == payload
+
+
+def test_noiseless_short_lead_in_all_zero_payload_decodes():
+    # a 215 ms lead-in is under 4 probe windows; when flat windows voted
+    # offset 0 the bit grid came out wrong and symbol sync failed
+    params = ChannelParams(500, 100, 1, 1.0)
+    payload = (0,) * 7
+    transmission = prepare_transmission(
+        params, payload, DiskModel(), InterfererProfile.none(), 215
     )
     decoder = DecoderConfig(params.bit_time_ms, params.probe_interval_ms)
     assert decode_message(transmission.trace(0), decoder) == payload

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from diskchannel import (
     AmbiguousPhase,
@@ -77,6 +79,70 @@ def test_detect_bit_start_agrees_with_vote_oracle_under_jitter():
         offset = rng.randrange(5)
         values = square_wave(bits, spb=5, offset=offset, jitter=1.0, seed=trial)
         assert detect_bit_start(values, config) == bit_start_vote_loop(values, 5)
+
+
+@st.composite
+def bit_start_traces(draw):
+    """A simulated trace at 2..25 samples per bit, lead-in from 0, any noise."""
+    pri = draw(st.sampled_from((10, 20, 40, 100)))
+    bit_time = pri * draw(st.integers(2, 25))
+    payload = tuple(draw(st.lists(st.integers(0, 1), max_size=16)))
+    disk = DiskModel.preset(draw(st.sampled_from(("ideal", "moderate", "harsh"))))
+    trace = transmit(
+        payload, bit_time, pri, draw(st.integers(1, 12)), draw(st.floats(0.4, 1.0)),
+        lead_in=draw(st.integers(0, 5 * bit_time)), disk=disk,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return list(trace.values_ms), DecoderConfig(bit_time, pri)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_start_traces())
+def test_detect_bit_start_matches_vote_oracle(case):
+    values, config = case
+    try:
+        want = bit_start_vote_loop(values, config.samples_per_bit)
+    except ValueError:
+        with pytest.raises(AmbiguousPhase):
+            detect_bit_start(values, config)
+    else:
+        assert detect_bit_start(values, config) == want
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1000.0])
+def test_detect_bit_start_keeps_precision_under_large_dc_level(amplitude):
+    # 32k windows of a square wave on a level of about 10 s. The first 17
+    # runs of 1000 bits slip 3 samples and each of their 16 edges votes 3;
+    # two extra samples make the rest slip 1, and each of its 15 edges
+    # votes 0 and 1. Offset 3 wins by one vote, so a single flat window
+    # that fails to abstain changes the result. Cumulative sums of the
+    # uncentred values lose the 1 ms wave to rounding; an absolute
+    # tolerance is below the rounding of the 1000 ms one.
+    spb = 4
+    bits = (np.arange(32_000) // 1000) % 2
+    samples = np.insert(np.repeat(bits, spb), 17_000 * spb, [bits[16_999]] * 2)
+    values = 10_000.3 + amplitude * np.concatenate(([0] * 3, samples))
+    variances = sliding_window_view(values, spb).var(axis=1)
+    want = bit_start_vote_loop(values, spb, variances)
+    config = DecoderConfig(bit_time_ms=40, probe_interval_ms=10)
+    assert want == 3
+    assert detect_bit_start(values, config) == want
+
+
+def test_detect_bit_start_single_candidate_last_window_votes():
+    # the second half slips 3 samples and is cut back to whole windows;
+    # windows 1, 4, 6 and the one-candidate window 7 vote 0, 3, 3, 0, the
+    # rest are flat and abstain, so the last window makes the tie that
+    # offset 0 wins
+    spb = 4
+    values = square_wave((1, 1, 0, 0), spb, 11.0, 10.0)
+    values += square_wave((1, 1, 0, 0), spb, 11.0, 10.0, offset=3)[:-3]
+    config = DecoderConfig(bit_time_ms=40, probe_interval_ms=10)
+    assert len(values) % spb == 0
+    assert detect_bit_start(values, config) == bit_start_vote_loop(values, spb) == 0
+    # with three more samples the last window has four flat candidates
+    values += values[-1:] * (spb - 1)
+    assert detect_bit_start(values, config) == bit_start_vote_loop(values, spb) == 3
 
 
 def test_detect_bit_start_rejects_flat_trace():

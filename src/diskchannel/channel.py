@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import WindowMismatch
 from .sender import AccessSchedule
@@ -164,25 +164,33 @@ class ContentionTrace:
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or lines[0] != "window_start_ms,avg_access_time_ms":
             raise ValueError("missing trace CSV header")
-        starts: list[int] = []
-        values: list[float] = []
-        for line in lines[1:]:
-            start_s, value_s = line.split(",")
-            value = float(value_s)
-            if not math.isfinite(value):
-                raise ValueError(f"trace value {value_s.strip()!r} is not finite")
-            starts.append(int(start_s))
-            values.append(value)
-        if len(starts) < 2:
+        rows = lines[1:]
+        if set(map(str.count, rows, repeat(","))) - {1}:
+            row = next(row for row in rows if row.count(",") != 1)
+            raise ValueError(f"trace row {row!r} does not hold two cells")
+        if len(rows) < 2:
             raise ValueError("trace needs at least two windows")
-        pri = starts[1] - starts[0]
-        if any(b - a != pri for a, b in zip(starts, starts[1:])):
+        cells = ",".join(rows).split(",")  # start, value, start, value, ...
+        values = np.array(cells[1::2], dtype=np.float64)
+        try:
+            starts = np.array(cells[0::2], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a window start does not fit in 64 bits") from None
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            value_s = cells[2 * bad[0] + 1].strip()
+            raise ValueError(f"trace value {value_s!r} is not finite")
+        pri = int(starts[1] - starts[0])
+        if (np.diff(starts) != pri).any():
             raise ValueError("window starts are not evenly spaced")
-        return cls(pri, tuple(starts), tuple(values))
+        return cls(pri, tuple(starts.tolist()), tuple(values.tolist()))
 
 
 def _baseline_wander(rng: np.random.Generator, n: int, disk: DiskModel) -> np.ndarray:
     """Stationary AR(1) wander sampled at the raw read period."""
+    # Imported here, its only use, because importing scipy takes a second.
+    from scipy.signal import lfilter
+
     rho = math.exp(-disk.raw_sample_period_ms / disk.wander_time_ms)
     start = disk.wander_stddev_ms * rng.standard_normal()
     innovations = rng.standard_normal(n)

@@ -32,15 +32,16 @@ from .experiment import (
     ChannelParams,
     ExperimentSpec,
     count_payload_errors,
+    payload_schedule,
     prepare_transmission,
     reports_to_csv,
     robustness_scenarios,
+    run_length,
     scenarios_to_csv,
     sweep,
 )
-from .framing import encapsulate
 from .receiver import DecoderConfig, decode_message
-from .sender import AccessSchedule, SenderConfig, build_access_schedule, encode_tcv
+from .sender import AccessSchedule, SenderConfig
 
 # Short CLI axis names for the sweep subcommand.
 AXIS_MAP = {
@@ -91,14 +92,9 @@ def _disk_and_interferer(
     return disk, interferer
 
 
-def _build_schedule(payload: Bits, args: argparse.Namespace) -> AccessSchedule:
-    frame = encapsulate(payload)
-    tcv = encode_tcv(frame, args.bt)
-    return build_access_schedule(tcv, SenderConfig(args.bt, args.n, args.th))
-
-
 def cmd_encode(args: argparse.Namespace) -> int:
-    schedule = _build_schedule(_message_bits(args), args)
+    sender = SenderConfig(args.bt, args.n, args.th)
+    schedule = payload_schedule(_message_bits(args), sender)
     _write_output(schedule.to_text(), args.output)
     return 0
 
@@ -118,18 +114,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = AccessSchedule.from_text(_read_input(args.schedule))
     disk, interferer = _disk_and_interferer(args)
-    duration = args.duration
-    if duration is None:
-        duration = whole_windows(args.lead_in + schedule.total_duration_ms, args.pri)
-    trace = simulate(
-        schedule,
-        disk,
-        interferer,
-        pri_ms=args.pri,
-        run_duration_ms=duration,
-        lead_in_ms=args.lead_in,
-        seed=args.seed,
-    )
+    lead_in, run_ms = run_length(schedule, args.pri, args.lead_in)
+    run_ms = run_ms if args.duration is None else args.duration
+    trace = simulate(schedule, disk, interferer, args.pri, run_ms, lead_in, args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0
 
@@ -143,7 +130,7 @@ def cmd_transmit(args: argparse.Namespace) -> int:
     )
     schedule = transmission.schedule
     trace = transmission.trace(args.seed)
-    decoded = decode_message(trace, DecoderConfig(args.bt, args.pri))
+    decoded = decode_message(trace, params.decoder)
     errors = count_payload_errors(payload, decoded)
     print(f"sent {len(payload)} payload bits over {schedule.total_duration_ms} ms")
     print(f"decoded: {bits_to_string(decoded)}")
@@ -154,7 +141,8 @@ def cmd_transmit(args: argparse.Namespace) -> int:
     return 1
 
 
-def _spec_from_args(args: argparse.Namespace, params: ChannelParams) -> ExperimentSpec:
+def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    params = ChannelParams(args.bt, args.pri, args.n, args.th)
     disk, interferer = _disk_and_interferer(args)
     return ExperimentSpec(
         params=params,
@@ -176,19 +164,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--values must be comma-separated numbers: {args.values!r}")
     if not values:
         raise ValueError("--values is empty")
-    spec = _spec_from_args(
-        args, ChannelParams(args.bt, args.pri, args.n, args.th)
-    )
-    reports = sweep(spec, AXIS_MAP[args.axis], values)
+    reports = sweep(_spec_from_args(args), AXIS_MAP[args.axis], values)
     _write_output(reports_to_csv(reports), args.output)
     return 0
 
 
 def cmd_robustness(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(
-        args, ChannelParams(args.bt, args.pri, args.n, args.th)
-    )
-    scenarios = robustness_scenarios(spec)
+    scenarios = robustness_scenarios(_spec_from_args(args))
     _write_output(scenarios_to_csv(scenarios), args.output)
     return 0
 
@@ -197,14 +179,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     disk, interferer = _disk_and_interferer(args)
     idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
     duration = whole_windows(args.duration, args.pri)
-    trace = simulate(
-        idle,
-        disk,
-        interferer,
-        pri_ms=args.pri,
-        run_duration_ms=duration,
-        seed=args.seed,
-    )
+    trace = simulate(idle, disk, interferer, args.pri, duration, seed=args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0
 
@@ -266,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schedule", help="schedule file from encode, '-' for stdin")
     p.add_argument("--pri", type=int, required=True, help="probe interval in ms")
     p.add_argument(
-        "--lead-in", type=int, default=0, help="idle ms before the schedule starts"
+        "--lead-in", type=int, help="idle ms before the schedule (default 2 bit times)"
     )
     p.add_argument(
         "--duration",
         type=int,
-        help="total run ms (default: lead-in plus schedule, window aligned)",
+        help="total run ms (default: lead-in, schedule, one idle bit; whole windows)",
     )
     _add_channel_args(p)
     _add_output_arg(p)

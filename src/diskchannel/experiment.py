@@ -40,16 +40,16 @@ class ChannelParams:
     threshold: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.bit_time_ms < 1:
-            raise ValueError(f"bit_time_ms must be >= 1, got {self.bit_time_ms}")
-        if self.probe_interval_ms < 1:
-            raise ValueError(
-                f"probe_interval_ms must be >= 1, got {self.probe_interval_ms}"
-            )
-        if self.n_accessors < 1:
-            raise ValueError(f"n_accessors must be >= 1, got {self.n_accessors}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        # Building the two configs runs their checks.
+        self.decoder, self.sender
+
+    @property
+    def sender(self) -> SenderConfig:
+        return SenderConfig(self.bit_time_ms, self.n_accessors, self.threshold)
+
+    @property
+    def decoder(self) -> DecoderConfig:
+        return DecoderConfig(self.bit_time_ms, self.probe_interval_ms)
 
 
 # Operating points with workable error rates under moderate noise, from
@@ -137,6 +137,30 @@ class Transmission:
         return overlay_noise(self.raw, self.disk, self.params.probe_interval_ms, seed)
 
 
+def payload_schedule(payload: Bits, sender: SenderConfig) -> AccessSchedule:
+    """Frame the payload and plan the sender's accesses for the frame."""
+    tcv = encode_tcv(encapsulate(payload), sender.bit_time_ms)
+    return build_access_schedule(tcv, sender)
+
+
+def run_length(
+    schedule: AccessSchedule,
+    pri_ms: int,
+    lead_in_ms: int | None = None,
+    tail_ms: int | None = None,
+) -> tuple[int, int]:
+    """Lead-in and total length in ms of the run that sends the schedule.
+
+    The run is an idle lead-in (two bit times unless given), the schedule,
+    an idle tail (one bit time unless given), rounded up to whole probing
+    windows. A schedule of unknown bit time (0) gets neither by default.
+    """
+    bit_time = schedule.bit_time_ms
+    lead_in = 2 * bit_time if lead_in_ms is None else lead_in_ms
+    tail = bit_time if tail_ms is None else tail_ms
+    return lead_in, whole_windows(lead_in + schedule.total_duration_ms + tail, pri_ms)
+
+
 def prepare_transmission(
     params: ChannelParams,
     payload: Bits,
@@ -147,18 +171,11 @@ def prepare_transmission(
 ) -> Transmission:
     """Frame and schedule the payload, then run it through the noiseless disk.
 
-    The run is an idle lead-in (two bit times unless given), the schedule,
-    an idle tail (one bit time unless given), rounded up to whole probing
-    windows.
+    The run's lead-in and length follow run_length.
     """
-    bit_time, pri = params.bit_time_ms, params.probe_interval_ms
-    tcv = encode_tcv(encapsulate(payload), bit_time)
-    sender = SenderConfig(bit_time, params.n_accessors, params.threshold)
-    schedule = build_access_schedule(tcv, sender)
-
-    lead_in = 2 * bit_time if lead_in_ms is None else lead_in_ms
-    tail = bit_time if tail_ms is None else tail_ms
-    run_ms = whole_windows(lead_in + schedule.total_duration_ms + tail, pri)
+    pri = params.probe_interval_ms
+    schedule = payload_schedule(payload, params.sender)
+    lead_in, run_ms = run_length(schedule, pri, lead_in_ms, tail_ms)
     raw = noiseless_raw_trace(schedule, disk, interferer, pri, run_ms, lead_in)
     return Transmission(params, disk, schedule, raw)
 
@@ -172,10 +189,8 @@ def _spec_transmission(spec: ExperimentSpec, payload: Bits) -> Transmission:
 def _decode_trial(
     transmission: Transmission, seed: int, payload: Bits
 ) -> tuple[int, str | None]:
-    p = transmission.params
-    decoder = DecoderConfig(p.bit_time_ms, p.probe_interval_ms)
     try:
-        decoded = decode_message(transmission.trace(seed), decoder)
+        decoded = decode_message(transmission.trace(seed), transmission.params.decoder)
     except DecodeError as exc:
         return len(payload), exc.phase
     return count_payload_errors(payload, decoded), None

@@ -68,8 +68,12 @@ class DecoderConfig:
     probe_interval_ms: int
 
     def __post_init__(self) -> None:
-        if self.bit_time_ms < 1 or self.probe_interval_ms < 1:
-            raise ValueError("bit_time_ms and probe_interval_ms must be >= 1")
+        if self.bit_time_ms < 1:
+            raise ValueError(f"bit_time_ms must be >= 1, got {self.bit_time_ms}")
+        if self.probe_interval_ms < 1:
+            raise ValueError(
+                f"probe_interval_ms must be >= 1, got {self.probe_interval_ms}"
+            )
         if self.bit_time_ms % self.probe_interval_ms != 0:
             raise ValueError(
                 f"bit_time_ms {self.bit_time_ms} is not a multiple of "
@@ -303,15 +307,6 @@ def find_transmission_onset(
     return int(hits[0]) + min_baseline
 
 
-_PHASE_ONSET = "onset detection"
-_PHASE_BIT_START = "bit-start detection"
-_PHASE_AVERAGING = "per-bit averaging"
-_PHASE_THRESHOLD = "threshold decoding"
-_PHASE_SYMBOL_SYNC = "symbol sync"
-_PHASE_FRAME_SYNC = "frame sync"
-_PHASE_DESTUFF = "destuffing"
-
-
 def decode_message(trace: ContentionTrace, config: DecoderConfig) -> Bits:
     """Run the full pipeline and return the recovered payload bits.
 
@@ -335,25 +330,25 @@ def _decode_pipeline(
     diag = DecodeDiagnostics()
     values = _sample_values(trace)
 
-    onset = _run_phase(_PHASE_ONSET, find_transmission_onset, values)
+    onset = _run_phase("onset detection", find_transmission_onset, values)
     diag.onset_window = onset
     active = values[onset:]
 
-    offset = _run_phase(_PHASE_BIT_START, detect_bit_start, active, config)
-    averages = _run_phase(_PHASE_AVERAGING, per_bit_averages, active, offset, config)
+    offset = _run_phase("bit-start detection", detect_bit_start, active, config)
+    averages = _run_phase("per-bit averaging", per_bit_averages, active, offset, config)
     estimates = _run_phase(
-        _PHASE_THRESHOLD, decode_with_gab, averages, config, offset
+        "threshold decoding", decode_with_gab, averages, config, offset
     )
     diag.estimates = estimates
 
-    sync_end = _run_phase(_PHASE_SYMBOL_SYNC, symbol_sync, estimates.decoded)
+    sync_end = _run_phase("symbol sync", symbol_sync, estimates.decoded)
     diag.sync_end = sync_end
 
-    span = _run_phase(_PHASE_FRAME_SYNC, frame_sync, estimates.decoded, sync_end)
+    span = _run_phase("frame sync", frame_sync, estimates.decoded, sync_end)
     diag.payload_span = span
 
     payload = _run_phase(
-        _PHASE_DESTUFF, destuff_bits, estimates.decoded[span[0] : span[1]]
+        "destuffing", destuff_bits, estimates.decoded[span[0] : span[1]]
     )
     return payload, diag
 

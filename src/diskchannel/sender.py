@@ -60,20 +60,24 @@ class AccessSchedule:
 
     intervals are half-open [start_ms, end_ms) windows during which all
     n_accessors tasks hammer the disk. total_duration_ms covers the whole
-    message including any trailing idle run.
+    message including any trailing idle run. bit_time_ms is the bit time
+    the schedule was built with, 0 where it is unknown.
     """
 
     intervals: tuple[tuple[int, int], ...]
     n_accessors: int
     total_duration_ms: int
+    bit_time_ms: int = 0
 
     def to_text(self) -> str:
         """Serialise as one 'accessor_id start_ms end_ms' line per task.
 
         A '# total_duration_ms N' comment carries the full message span,
-        which can exceed the last interval end by the kill lead residue.
+        which can exceed the last interval end by the kill lead residue,
+        and a '# bit_time_ms N' comment the bit time.
         """
         lines = [f"# total_duration_ms {self.total_duration_ms}"]
+        lines.append(f"# bit_time_ms {self.bit_time_ms}")
         for accessor in range(self.n_accessors):
             for start, end in self.intervals:
                 lines.append(f"{accessor} {start} {end}")
@@ -84,18 +88,19 @@ class AccessSchedule:
         """Parse the line format written by to_text.
 
         Without the total_duration_ms comment the total falls back to the
-        last interval end, losing any trailing idle tail.
+        last interval end, losing any trailing idle tail. Without the
+        bit_time_ms comment, as in older files, the bit time is 0.
         """
         per_accessor: dict[int, list[tuple[int, int]]] = {}
-        total_override: int | None = None
+        comments: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "total_duration_ms":
-                    total_override = int(parts[1])
+                if len(parts) == 2 and parts[0] in ("total_duration_ms", "bit_time_ms"):
+                    comments[parts[0]] = int(parts[1])
                 continue
             parts = line.split()
             if len(parts) != 3:
@@ -113,16 +118,15 @@ class AccessSchedule:
                     f"accessor {accessor} intervals differ from accessor 0"
                 )
         last_end = max(end for _, end in first)
-        if total_override is not None and total_override < last_end:
+        total = comments.get("total_duration_ms", last_end)
+        if total < last_end:
             raise ValueError(
-                f"total_duration_ms {total_override} ends before the last "
-                f"interval at {last_end}"
+                f"total_duration_ms {total} ends before the last interval at {last_end}"
             )
-        return cls(
-            intervals=tuple(first),
-            n_accessors=len(per_accessor),
-            total_duration_ms=last_end if total_override is None else total_override,
-        )
+        bit_time = comments.get("bit_time_ms", 0)
+        if bit_time < 0:
+            raise ValueError(f"bit_time_ms must be >= 0, got {bit_time}")
+        return cls(tuple(first), len(per_accessor), total, bit_time)
 
 
 def encode_tcv(message: Iterable[int], bit_time_ms: int) -> TimeChangeVector:
@@ -182,4 +186,5 @@ def build_access_schedule(
         intervals=tuple(intervals),
         n_accessors=config.n_accessors,
         total_duration_ms=t,
+        bit_time_ms=bt,
     )

@@ -216,6 +216,23 @@ def test_trace_csv_rejects_uneven_spacing():
         ContentionTrace.from_csv(csv)
 
 
+@pytest.mark.parametrize("rows", [
+    "0,10.0\n100,10.0,7\n200,10.0",
+    "0,10.0\n100\n200,10.0",
+    "0,10.0,7\n100\n200,10.0",
+])
+def test_trace_csv_rejects_rows_without_two_cells(rows):
+    csv = f"window_start_ms,avg_access_time_ms\n{rows}\n"
+    with pytest.raises(ValueError, match="two cells"):
+        ContentionTrace.from_csv(csv)
+
+
+def test_trace_csv_rejects_window_start_beyond_64_bits():
+    csv = "window_start_ms,avg_access_time_ms\n0,10.0\n100,10.0\n" + "9" * 20 + ",1.0\n"
+    with pytest.raises(ValueError, match="64 bits"):
+        ContentionTrace.from_csv(csv)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_trace_csv_rejects_non_finite_values(value):
     csv = f"window_start_ms,avg_access_time_ms\n0,10.0\n100,{value}\n200,10.0\n"

@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
+from diskchannel import ChannelParams, DiskModel, InterfererProfile, bits_from_string
 from diskchannel.cli import main
+from diskchannel.experiment import prepare_transmission
 
 BT = ["--bt", "500"]
 PRI = ["--pri", "100"]
@@ -190,3 +194,66 @@ def test_config_file_reaches_simulation(capsys, tmp_path):
     )
     assert code == 0
     assert stdout.strip().splitlines()[1] == "0,40.0"
+
+
+def test_simulate_defaults_follow_the_transmission_run_length(capsys, tmp_path):
+    schedule = tmp_path / "schedule.txt"
+    run(capsys, "encode", "--bits", "1011", *BT, "--n", "3", "--output", str(schedule))
+    code, stdout, _ = run(
+        capsys, "simulate", str(schedule), *PRI, "--noise", "moderate", "--seed", "4"
+    )
+    transmission = prepare_transmission(
+        ChannelParams(500, 100, 3), bits_from_string("1011"),
+        DiskModel.preset("moderate"), InterfererProfile.none(),
+    )
+    assert code == 0
+    assert stdout == transmission.trace(4).to_csv()
+
+
+def test_encode_simulate_decode_with_one_bit_tail(capsys, tmp_path):
+    # Op 27 of the benchmark's cli_files workload at seed 1: without the idle
+    # bit after the frame, frame sync found no end marker.
+    schedule = tmp_path / "schedule.txt"
+    trace = tmp_path / "trace.csv"
+    message = "b7cVBebkITtQ"
+    assert run(capsys, "encode", "--text", message, "--bt", "1000",
+               "--output", str(schedule))[0] == 0
+    assert run(capsys, "simulate", str(schedule), "--pri", "10", "--lead-in", "2000",
+               "--noise", "moderate", "--seed", "1822682744",
+               "--output", str(trace))[0] == 0
+    code, stdout, stderr = run(
+        capsys, "decode", str(trace), "--bt", "1000", "--pri", "10", "--text"
+    )
+    assert (code, stdout, stderr) == (0, message + "\n", "")
+
+
+# Written by encode before schedule files carried their bit time.
+SCHEDULE_WITHOUT_BIT_TIME = """\
+# total_duration_ms 18000
+0 0 450
+0 1000 1450
+0 2000 2450
+0 3000 3450
+0 4000 4450
+0 5000 5450
+0 6000 6450
+0 7000 7450
+0 8000 9950
+0 12000 12450
+0 13000 13950
+0 16000 17950
+"""
+
+
+def test_simulate_schedule_without_bit_time_is_unchanged(capsys, tmp_path):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text(SCHEDULE_WITHOUT_BIT_TIME)
+    code, stdout, _ = run(
+        capsys, "simulate", str(schedule), *PRI, "--noise", "moderate", "--seed", "3"
+    )
+    assert code == 0
+    # No lead-in and no tail: the run ends at the schedule's last window.
+    assert stdout.splitlines()[-1].startswith("17900,")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "62d0340becaf9922e0fc1022bfe7207492a56f44b570347efe5cb2832e98ab88"
+    )

@@ -172,6 +172,7 @@ def test_scenarios_csv_has_scenario_column():
 @pytest.mark.parametrize("field, value", [
     ("bit_time_ms", 0),
     ("probe_interval_ms", 0),
+    ("probe_interval_ms", 300),
     ("n_accessors", 0),
     ("threshold", 0.0),
     ("threshold", 1.5),

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import diskchannel
@@ -37,3 +40,10 @@ def test_all_covers_what_the_benchmark_imports():
     }
     assert wanted
     assert wanted <= set(diskchannel.__all__)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = str(Path(diskchannel.__file__).resolve().parents[1])
+    code = "import sys, diskchannel.cli; sys.exit('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -85,14 +85,27 @@ def test_schedule_text_round_trip():
     config = SenderConfig(100, n_accessors=3, threshold=0.9)
     schedule = build_access_schedule(encode_tcv((1, 1, 0, 1, 0, 0), 100), config)
     text = schedule.to_text()
-    assert text.splitlines()[0] == "# total_duration_ms 600"
-    assert AccessSchedule.from_text(text) == schedule
+    assert text.splitlines()[:2] == ["# total_duration_ms 600", "# bit_time_ms 100"]
+    parsed = AccessSchedule.from_text(text)
+    assert parsed == schedule
+    assert parsed.bit_time_ms == 100
 
 
 def test_schedule_text_total_falls_back_to_last_end():
     parsed = AccessSchedule.from_text("0 0 90\n0 200 290\n1 0 90\n1 200 290\n")
     assert parsed.total_duration_ms == 290
     assert parsed.n_accessors == 2
+
+
+def test_schedule_text_without_bit_time_has_bit_time_zero():
+    parsed = AccessSchedule.from_text("# total_duration_ms 400\n0 0 90\n0 200 290\n")
+    assert parsed.bit_time_ms == 0
+    assert parsed.total_duration_ms == 400
+
+
+def test_schedule_text_rejects_negative_bit_time():
+    with pytest.raises(ValueError, match="bit_time_ms"):
+        AccessSchedule.from_text("# bit_time_ms -100\n0 0 90\n")
 
 
 def test_schedule_text_rejects_gapped_accessor_ids():

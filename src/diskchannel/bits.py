@@ -23,14 +23,14 @@ def as_bits(values: Iterable[int]) -> Bits:
 def as_bit_bytes(values: Iterable[int]) -> bytes:
     """Validate like as_bits, but return the bits as bytes, one bit per byte.
 
-    A tuple or list of plain ints takes a fast path through ``bytes()``;
-    anything else, and any tuple or list that path rejects, is checked
+    ``bytes`` and a tuple or list of plain ints take a fast path through
+    ``bytes()``; anything else, and any input that path rejects, is checked
     value by value against the bit values before it is converted with
     ``int()``, so 1.0, True and numpy integers pass while 1.7 or "1" raise.
-    The fast path is kept to tuples and lists because ``bytes()`` of an int
-    or of a numpy array gives zero bytes or the raw buffer, not the values.
+    The fast path is kept to these types because ``bytes()`` of an int or
+    of a numpy array gives zero bytes or the raw buffer, not the values.
     """
-    if isinstance(values, (tuple, list)):
+    if isinstance(values, (bytes, tuple, list)):
         try:
             data = bytes(values)
         except (TypeError, ValueError):

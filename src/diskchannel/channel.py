@@ -21,7 +21,7 @@ deterministic per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -38,6 +38,8 @@ NOISE_PRESETS: dict[str, tuple[float, float]] = {
     "moderate": (1.0, 0.7),
     "harsh": (4.0, 2.0),
 }
+
+INTERFERER_KINDS = ("none", "benchmark", "stress")
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class InterfererProfile:
     burst_ms: int = 2_000
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "benchmark", "stress"):
+        if self.kind not in INTERFERER_KINDS:
             raise ValueError(f"unknown interferer kind {self.kind!r}")
         if self.load < 0:
             raise ValueError("load must be non-negative")
@@ -120,17 +122,16 @@ class InterfererProfile:
         return 0
 
     def demand_per_ms(self, run_ms: int) -> np.ndarray:
-        if self.kind == "stress":
-            return np.full(run_ms, self.load, dtype=np.int64)
-        if self.kind == "benchmark":
-            t = np.arange(run_ms, dtype=np.int64)
-            return np.where((t % self.period_ms) < self.burst_ms, self.load, 0)
-        return np.zeros(run_ms, dtype=np.int64)
+        """active_accessors for each ms of [0, run_ms), from demand_steps."""
+        change = np.zeros(run_ms, dtype=np.int64)
+        np.add.at(change, *self.demand_steps(run_ms))
+        return np.cumsum(change)
 
     def demand_steps(self, run_ms: int) -> tuple[np.ndarray, np.ndarray]:
-        """Times in [0, run_ms) where demand_per_ms changes, and by how much."""
+        """Times in [0, run_ms) where the demand changes, and by how much."""
         if self.kind == "stress":
-            return np.array([0], dtype=np.int64), np.array([self.load], dtype=np.int64)
+            on = np.arange(min(run_ms, 1), dtype=np.int64)
+            return on, np.full(on.size, self.load, dtype=np.int64)
         if self.kind == "benchmark":
             on = np.arange(0, run_ms, self.period_ms, dtype=np.int64)
             off = on + self.burst_ms
@@ -181,6 +182,8 @@ class ContentionTrace:
             value_s = cells[2 * bad[0] + 1].strip()
             raise ValueError(f"trace value {value_s!r} is not finite")
         pri = int(starts[1] - starts[0])
+        if pri < 1:
+            raise ValueError("window starts do not rise")
         if (np.diff(starts) != pri).any():
             raise ValueError("window starts are not evenly spaced")
         return cls(pri, tuple(starts.tolist()), tuple(values.tolist()))
@@ -348,21 +351,11 @@ def simulate(
     return overlay_noise(raw, disk, pri_ms, seed)
 
 
-_DISK_KEYS = {
-    "base_latency_ms": float,
-    "contention_slope_ms": float,
-    "noise_stddev_ms": float,
-    "wander_stddev_ms": float,
-    "wander_time_ms": float,
-    "raw_sample_period_ms": int,
-    "capacity_accessors": int,
-}
-
-_INTERFERER_KEYS = {
-    "interferer.kind": str,
-    "interferer.load": int,
-    "interferer.period_ms": int,
-    "interferer.burst_ms": int,
+# Config key -> (model class, field); a value converts to its default's type.
+_CONFIG_FIELDS = {
+    prefix + f.name: (cls, f)
+    for prefix, cls in (("", DiskModel), ("interferer.", InterfererProfile))
+    for f in fields(cls)
 }
 
 
@@ -372,8 +365,7 @@ def parse_channel_config(text: str) -> tuple[DiskModel, InterfererProfile]:
     Lines starting with '#' and blank lines are skipped. Unknown keys are
     rejected so typos do not silently fall back to defaults.
     """
-    disk_kwargs: dict[str, object] = {}
-    interferer_kwargs: dict[str, object] = {}
+    kwargs: dict[type, dict[str, object]] = {DiskModel: {}, InterfererProfile: {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -381,13 +373,11 @@ def parse_channel_config(text: str) -> tuple[DiskModel, InterfererProfile]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key in _DISK_KEYS:
-            disk_kwargs[key] = _DISK_KEYS[key](value)
-        elif key in _INTERFERER_KEYS:
-            interferer_kwargs[key.split(".", 1)[1]] = _INTERFERER_KEYS[key](value)
-        else:
+        if key not in _CONFIG_FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-    return DiskModel(**disk_kwargs), InterfererProfile(**interferer_kwargs)
+        cls, field = _CONFIG_FIELDS[key]
+        kwargs[cls][field.name] = type(field.default)(value)
+    return DiskModel(**kwargs[DiskModel]), InterfererProfile(**kwargs[InterfererProfile])
 
 
 def read_channel_config(path) -> tuple[DiskModel, InterfererProfile]:

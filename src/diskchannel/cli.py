@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .bits import Bits, bits_from_string, bits_from_text, bits_to_string, bits_to_text
 from .channel import (
+    INTERFERER_KINDS,
     NOISE_PRESETS,
     ContentionTrace,
     DiskModel,
@@ -50,8 +51,6 @@ AXIS_MAP = {
     "n": "n_accessors",
     "th": "threshold",
 }
-
-_INTERFERER_CHOICES = ("none", "benchmark", "stress")
 
 
 def _read_input(path: str) -> str:
@@ -205,7 +204,7 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="channel config file (key = value lines)")
     parser.add_argument(
         "--interferer",
-        choices=_INTERFERER_CHOICES,
+        choices=INTERFERER_KINDS,
         help="background load profile (overrides the config file)",
     )
     parser.add_argument("--seed", type=int, default=0, help="channel noise seed")

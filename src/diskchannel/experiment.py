@@ -17,6 +17,7 @@ import numpy as np
 
 from .bits import Bits, random_bits
 from .channel import (
+    INTERFERER_KINDS,
     ContentionTrace,
     DiskModel,
     InterfererProfile,
@@ -67,8 +68,6 @@ OPERATING_POINTS: tuple[ChannelParams, ...] = (
 
 # Slowest, most conservative point; used for interferer robustness runs.
 ROBUSTNESS_POINT = ChannelParams(10000, 400, 5, 0.9)
-
-INTERFERER_SCENARIOS = ("none", "benchmark", "stress")
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,7 @@ def sweep(spec: ExperimentSpec, axis: str, values) -> tuple[BerReport, ...]:
 def robustness_scenarios(spec: ExperimentSpec) -> tuple[tuple[str, BerReport], ...]:
     """BER under no, benchmark and stress interference with shared seeds."""
     out = []
-    for name in INTERFERER_SCENARIOS:
+    for name in INTERFERER_KINDS:
         profile = getattr(InterfererProfile, name)()
         out.append((name, run_ber(dataclasses.replace(spec, interferer=profile))))
     return tuple(out)

@@ -13,12 +13,12 @@ Frame layout::
     stuffed payload (no run of 4 or more identical bits)
     end marker   0 0 0 0 1 1 1 1
 
-The public functions take any iterable of 0/1 and return ``Bits`` tuples.
-Each validates its input once, with ``bits.as_bit_bytes``, and then works
-on ``bytes`` holding one bit per byte: markers are found with ``bytes.find``,
-stuffing runs eight bits at a time through a precomputed table, and
-destuffing is a regular-expression pass that drops the bit after every
-full run.
+The public functions, the receiver's symbol_sync and frame_sync among them,
+take any iterable of 0/1 or ``bytes`` of one bit per byte. Each validates
+its input once, with ``bits.as_bit_bytes``, and then works on such bytes:
+markers are found with ``bytes.find``, the preamble's alternating tail and
+the bit after every full run with regular expressions, and stuffing runs
+eight bits at a time through a precomputed table.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ from itertools import product
 from typing import Iterable
 
 from .bits import Bits, as_bit_bytes
-from .errors import MalformedStuffing, NoEndMarker, NoStartMarker
+from .errors import MalformedStuffing, NoEndMarker, NoStartMarker, SyncNotFound
 
 # Longest run of identical bits the stuffer lets through unbroken.
 RUN_LIMIT = 3
+
+# Minimum length of an alternating run accepted as (the tail of) a preamble.
+MIN_SYNC_RUN = 8
 
 SYMBOL_SYNC: Bits = (1, 0) * 8
 START_MARKER: Bits = (1, 1, 1, 1, 0, 0, 0, 0)
@@ -45,6 +48,10 @@ _FULL_RUNS = frozenset(bytes([bit]) * RUN_LIMIT for bit in (0, 1))
 _OVERLONG_RUN = re.compile(rb"\x00{%d}|\x01{%d}" % (RUN_LIMIT + 1, RUN_LIMIT + 1))
 _BIT_AFTER_FULL_RUN = re.compile(
     rb"(?<=\x00{%d}|\x01{%d})." % (RUN_LIMIT, RUN_LIMIT), re.DOTALL
+)
+# Greedy, so a match starts a maximal alternating run and ends with it.
+_ALTERNATING_RUN = re.compile(
+    rb"(?:\x00(?=\x01)|\x01(?=\x00)){%d,}[\x00\x01]" % (MIN_SYNC_RUN - 1)
 )
 
 # The stuffer's state between bits is the last output bit and the length
@@ -153,15 +160,44 @@ def decapsulate(message: Iterable[int]) -> Bits:
     if start_at < 0:
         raise NoStartMarker("no start marker after symbol sync")
     payload_from = start_at + len(START_MARKER)
-    end_at = find_end_marker(data, payload_from)
+    end_at = data.find(_END_BYTES, payload_from)
     if end_at < 0:
         raise NoEndMarker("no end marker after payload")
     return tuple(_destuff(data[payload_from:end_at]))
 
 
-def find_end_marker(data: bytes, start: int) -> int:
-    """Index of the first END_MARKER at or after start, else -1.
+def symbol_sync(decoded_bits: Iterable[int]) -> int:
+    """Index one past the preamble, found via its alternating signature.
 
-    data holds one bit per byte, as ``bytes(bits)`` gives for a Bits tuple.
+    Finds the first maximal alternating run of at least MIN_SYNC_RUN bits;
+    its end must leave room for a start marker. Because the start marker
+    begins with 1 and the preamble ends with 0, the run's last element is
+    normally the first marker bit, so the returned index is exactly where
+    the marker check must happen.
+
+    Raises:
+        SyncNotFound: no such run exists.
     """
-    return data.find(_END_BYTES, start)
+    data = as_bit_bytes(decoded_bits)
+    run = _ALTERNATING_RUN.search(data)
+    # A later run would end later still, so only the first can fit a marker.
+    if run is None or run.end() - 1 + len(START_MARKER) > len(data):
+        raise SyncNotFound("no alternating run long enough to be a preamble")
+    return run.end() - 1
+
+
+def frame_sync(decoded_bits: Iterable[int], sync_end: int) -> tuple[int, int]:
+    """Payload span (start, end) between the verified markers.
+
+    Raises:
+        NoStartMarker: bits at sync_end are not the start marker.
+        NoEndMarker: no end marker after the payload.
+    """
+    data = as_bit_bytes(decoded_bits)
+    payload_from = sync_end + len(START_MARKER)
+    if data[sync_end:payload_from] != _START_BYTES:
+        raise NoStartMarker(f"start marker not present at index {sync_end}")
+    end_at = data.find(_END_BYTES, payload_from)
+    if end_at < 0:
+        raise NoEndMarker("no end marker after the start marker")
+    return payload_from, end_at

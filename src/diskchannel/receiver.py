@@ -10,8 +10,8 @@ abstains, except a truncated last window with a single candidate.
 Phase 2 averages each bit period and classifies against a global average
 threshold that is iteratively re-centred between the two class means.
 Phase 3 locates the alternating preamble, phase 4 checks the start marker
-and finds the end marker. Destuffing the span in between yields the
-payload.
+and finds the end marker; both live in framing, beside the frame layout.
+Destuffing the span in between yields the payload.
 
 decode_message prepends a small onset detector that trims leading idle
 before phase 1, so the receiver may start probing well before the sender
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import Bits, as_bit_bytes, as_bits
+from .bits import Bits
 from .channel import ContentionTrace
 from .errors import (
     AllOneClass,
@@ -33,14 +33,8 @@ from .errors import (
     ConstantSignal,
     DecodeError,
     DiskChannelError,
-    NoEndMarker,
-    NoStartMarker,
-    SyncNotFound,
 )
-from .framing import START_MARKER, destuff_bits, find_end_marker
-
-# Minimum length of an alternating run accepted as (the tail of) a preamble.
-MIN_SYNC_RUN = 8
+from .framing import destuff_bits, frame_sync, symbol_sync
 
 # Phase 1 tie tolerance, relative to the trace variance: offsets whose
 # variances differ by at most VARIANCE_EPSILON * var(trace) tie. It sits
@@ -48,6 +42,9 @@ MIN_SYNC_RUN = 8
 # for traces of up to 10**6 samples); an absolute tolerance would fall
 # below that rounding on long traces with a large spread.
 VARIANCE_EPSILON = 1e-7
+
+# Windows of idle baseline onset detection needs before it can trigger.
+ONSET_BASELINE_WINDOWS = 4
 
 # Upper bound on threshold correction rounds in decode_with_gab.
 MAX_GAB_ITERATIONS = 16
@@ -110,15 +107,7 @@ class DecodeDiagnostics:
     payload_span: tuple[int, int] | None = None
 
 
-def _sample_values(trace: "ContentionTrace | Sequence[float]") -> np.ndarray:
-    if isinstance(trace, ContentionTrace):
-        return trace.values()
-    return np.asarray(trace, dtype=np.float64)
-
-
-def detect_bit_start(
-    trace: "ContentionTrace | Sequence[float]", config: DecoderConfig
-) -> int:
+def detect_bit_start(trace: Sequence[float], config: DecoderConfig) -> int:
     """Modal minimum-variance offset of bit boundaries, in samples.
 
     Every samples_per_bit-long subsequence of the trace is scored by its
@@ -140,7 +129,7 @@ def detect_bit_start(
             than any other.
         ValueError: trace shorter than three bit times.
     """
-    values = _sample_values(trace)
+    values = np.asarray(trace, dtype=np.float64)
     spb = config.samples_per_bit
     if values.size < 3 * spb:
         raise ValueError(
@@ -174,7 +163,7 @@ def detect_bit_start(
 
 
 def per_bit_averages(
-    trace: "ContentionTrace | Sequence[float]", offset: int, config: DecoderConfig
+    trace: Sequence[float], offset: int, config: DecoderConfig
 ) -> tuple[float, ...]:
     """Mean of each consecutive bit-period group starting at offset.
 
@@ -183,7 +172,7 @@ def per_bit_averages(
     spb = config.samples_per_bit
     if not 0 <= offset < spb:
         raise ValueError(f"offset must be in [0, {spb}), got {offset}")
-    values = _sample_values(trace)[offset:]
+    values = np.asarray(trace, dtype=np.float64)[offset:]
     n_bits = values.size // spb
     if n_bits == 0:
         return ()
@@ -241,70 +230,27 @@ def decode_with_gab(
     )
 
 
-def symbol_sync(decoded_bits: Sequence[int]) -> int:
-    """Index one past the preamble, found via its alternating signature.
-
-    Scans for the first maximal alternating run of at least MIN_SYNC_RUN
-    bits whose end leaves room for a start marker. Because the start
-    marker begins with 1 and the preamble ends with 0, the run's last
-    element is normally the first marker bit, so the returned index is
-    exactly where the marker check must happen.
-
-    Raises:
-        SyncNotFound: no such run exists.
-    """
-    bits = as_bits(decoded_bits)
-    n = len(bits)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and bits[j + 1] != bits[j]:
-            j += 1
-        run_length = j - i + 1
-        if run_length >= MIN_SYNC_RUN and j + len(START_MARKER) <= n:
-            return j
-        i = j + 1
-    raise SyncNotFound("no alternating run long enough to be a preamble")
-
-
-def frame_sync(decoded_bits: Sequence[int], sync_end: int) -> tuple[int, int]:
-    """Payload span (start, end) between the verified markers.
-
-    Raises:
-        NoStartMarker: bits at sync_end are not the start marker.
-        NoEndMarker: no end marker after the payload.
-    """
-    bits = as_bit_bytes(decoded_bits)
-    marker_len = len(START_MARKER)
-    if tuple(bits[sync_end : sync_end + marker_len]) != START_MARKER:
-        raise NoStartMarker(f"start marker not present at index {sync_end}")
-    payload_from = sync_end + marker_len
-    end_at = find_end_marker(bits, payload_from)
-    if end_at < 0:
-        raise NoEndMarker("no end marker after the start marker")
-    return payload_from, end_at
-
-
-def find_transmission_onset(
-    values: "ContentionTrace | Sequence[float]", min_baseline: int = 4
-) -> int:
+def find_transmission_onset(values: Sequence[float]) -> int:
     """First window that jumps above the trailing mean + 3 sigma, else 0.
 
-    Returning 0 when nothing triggers keeps short or already-hot traces
-    usable; phase 1's modal vote absorbs a bit of leading idle anyway.
+    Only windows after the first ONSET_BASELINE_WINDOWS can trigger, each
+    against the mean and sigma of all windows before it. Returning 0 when
+    nothing triggers keeps short or already-hot traces usable; phase 1's
+    modal vote absorbs a bit of leading idle anyway.
     """
-    v = _sample_values(values)
-    if v.size <= min_baseline:
+    v = np.asarray(values, dtype=np.float64)
+    first = ONSET_BASELINE_WINDOWS
+    if v.size <= first:
         return 0
     counts = np.arange(1, v.size + 1, dtype=np.float64)
     means = np.cumsum(v) / counts
     mean_sq = np.cumsum(v * v) / counts
     stds = np.sqrt(np.maximum(mean_sq - means**2, 0.0))
-    thresholds = means[min_baseline - 1 : -1] + 3.0 * stds[min_baseline - 1 : -1]
-    hits = np.nonzero(v[min_baseline:] > thresholds + 1e-9)[0]
+    thresholds = (means + 3.0 * stds)[first - 1 : -1]
+    hits = np.nonzero(v[first:] > thresholds + 1e-9)[0]
     if hits.size == 0:
         return 0
-    return int(hits[0]) + min_baseline
+    return int(hits[0]) + first
 
 
 def decode_message(trace: ContentionTrace, config: DecoderConfig) -> Bits:
@@ -328,7 +274,7 @@ def _decode_pipeline(
     trace: ContentionTrace, config: DecoderConfig
 ) -> tuple[Bits, DecodeDiagnostics]:
     diag = DecodeDiagnostics()
-    values = _sample_values(trace)
+    values = trace.values()
 
     onset = _run_phase("onset detection", find_transmission_onset, values)
     diag.onset_window = onset
@@ -340,16 +286,15 @@ def _decode_pipeline(
         "threshold decoding", decode_with_gab, averages, config, offset
     )
     diag.estimates = estimates
+    decoded = bytes(estimates.decoded)
 
-    sync_end = _run_phase("symbol sync", symbol_sync, estimates.decoded)
+    sync_end = _run_phase("symbol sync", symbol_sync, decoded)
     diag.sync_end = sync_end
 
-    span = _run_phase("frame sync", frame_sync, estimates.decoded, sync_end)
+    span = _run_phase("frame sync", frame_sync, decoded, sync_end)
     diag.payload_span = span
 
-    payload = _run_phase(
-        "destuffing", destuff_bits, estimates.decoded[span[0] : span[1]]
-    )
+    payload = _run_phase("destuffing", destuff_bits, decoded[span[0] : span[1]])
     return payload, diag
 
 

@@ -12,7 +12,15 @@ import math
 import statistics
 from collections import Counter
 
-from diskchannel import AccessSchedule, DiskModel, InterfererProfile, MalformedStuffing
+from diskchannel import (
+    START_MARKER,
+    AccessSchedule,
+    DiskModel,
+    InterfererProfile,
+    MalformedStuffing,
+    SyncNotFound,
+)
+from diskchannel.framing import MIN_SYNC_RUN
 from diskchannel.receiver import VARIANCE_EPSILON
 
 
@@ -172,6 +180,24 @@ def destuff_loop(stuffed: list[int]) -> tuple[int, ...]:
     if drop_next:
         raise MalformedStuffing("stream ends immediately after a full run")
     return tuple(out)
+
+
+def symbol_sync_loop(bits: list[int]) -> int:
+    """Preamble end by walking the maximal alternating runs one bit at a time.
+
+    Returns the last index of the first run of at least MIN_SYNC_RUN bits
+    that leaves room for a start marker after it.
+    """
+    n = len(bits)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and bits[j + 1] != bits[j]:
+            j += 1
+        if j - i + 1 >= MIN_SYNC_RUN and j + len(START_MARKER) <= n:
+            return j
+        i = j + 1
+    raise SyncNotFound("no alternating run long enough to be a preamble")
 
 
 def stuffed_runs_ok(bits: list[int], limit: int = 3) -> bool:

@@ -216,6 +216,13 @@ def test_trace_csv_rejects_uneven_spacing():
         ContentionTrace.from_csv(csv)
 
 
+@pytest.mark.parametrize("starts", [(0, 0, 0), (200, 100, 0)])
+def test_trace_csv_rejects_window_starts_that_do_not_rise(starts):
+    rows = "".join(f"{t},10.0\n" for t in starts)
+    with pytest.raises(ValueError, match="do not rise"):
+        ContentionTrace.from_csv("window_start_ms,avg_access_time_ms\n" + rows)
+
+
 @pytest.mark.parametrize("rows", [
     "0,10.0\n100,10.0,7\n200,10.0",
     "0,10.0\n100\n200,10.0",

@@ -139,6 +139,18 @@ def test_decode_rejects_trace_with_other_window_spacing(capsys, tmp_path):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("starts", [(0, 0, 0), (200, 100, 0)])
+def test_trace_whose_windows_do_not_rise_exit_two(capsys, tmp_path, starts):
+    trace = tmp_path / "trace.csv"
+    rows = "".join(f"{t},10.0\n" for t in starts)
+    trace.write_text("window_start_ms,avg_access_time_ms\n" + rows)
+    code, stdout, stderr = run(capsys, "decode", str(trace), *BT, *PRI)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
+    assert "do not rise" in stderr
+
+
 def test_non_finite_trace_exit_two(capsys, tmp_path):
     trace = tmp_path / "nan.csv"
     rows = [f"{t},{'nan' if t == 1500 else 10.0}" for t in range(0, 3000, 100)]

@@ -11,12 +11,15 @@ from diskchannel import (
     MalformedStuffing,
     NoEndMarker,
     NoStartMarker,
+    SyncNotFound,
     decapsulate,
     destuff_bits,
     encapsulate,
+    frame_sync,
     stuff_bits,
+    symbol_sync,
 )
-from oracles import destuff_loop, stuff_loop, stuffed_runs_ok
+from oracles import destuff_loop, stuff_loop, stuffed_runs_ok, symbol_sync_loop
 
 payloads = st.lists(st.integers(min_value=0, max_value=1), max_size=512).map(tuple)
 
@@ -141,3 +144,57 @@ def test_decapsulate_requires_start_marker():
 def test_decapsulate_requires_end_marker():
     with pytest.raises(NoEndMarker):
         decapsulate(SYMBOL_SYNC + START_MARKER + (1, 0) * 4)
+
+
+# --- receiver phases 3 and 4: symbol and frame sync ---
+
+
+def _sync_outcome(fn, *args):
+    """What fn returns for args, or the name and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (SyncNotFound, NoStartMarker, NoEndMarker) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_symbol_sync_matches_per_bit_loop_exhaustive():
+    for length in range(17):
+        for bits in itertools.product((0, 1), repeat=length):
+            want = _sync_outcome(symbol_sync_loop, bits)
+            assert _sync_outcome(symbol_sync, bytes(bits)) == want, bits
+
+
+def _noisy_frame(lead, payload, flips):
+    bits = list(lead + encapsulate(payload))
+    for i in flips:
+        bits[i % len(bits)] ^= 1
+    return tuple(bits)
+
+
+# Arbitrary streams, plus frames behind noise with a few bits flipped, so
+# that preambles cut short, split or run on into the marker turn up.
+sync_streams = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=1), max_size=300).map(tuple),
+    st.builds(
+        _noisy_frame,
+        st.lists(st.integers(min_value=0, max_value=1), max_size=40).map(tuple),
+        payloads,
+        st.lists(st.integers(min_value=0), max_size=4),
+    ),
+)
+
+
+@given(sync_streams)
+def test_symbol_sync_matches_per_bit_loop(bits):
+    want = _sync_outcome(symbol_sync_loop, bits)
+    assert _sync_outcome(symbol_sync, bits) == want
+    assert _sync_outcome(symbol_sync, bytes(bits)) == want
+
+
+@given(sync_streams, st.integers(min_value=0, max_value=60))
+def test_frame_sync_same_for_tuple_and_bytes(bits, sync_end):
+    # Also at the index symbol_sync finds, where a start marker usually is.
+    found = _sync_outcome(symbol_sync, bits)
+    for at in [sync_end] + ([found] if isinstance(found, int) else []):
+        want = _sync_outcome(frame_sync, bits, at)
+        assert _sync_outcome(frame_sync, bytes(bits), at) == want

@@ -6,10 +6,16 @@ it only changes at the edges of the sender's intervals (shifted by the
 lead-in) and of the interferer's bursts. Between two such breakpoints
 the capacity cap (demand above capacity_accessors queues up as backlog
 and keeps the disk saturated after the demanders stop) follows a closed
-form, so the served work at each raw read boundary comes out exactly, in
-integers, without stepping through the run millisecond by millisecond.
+form. The disk serves capacity_accessors per ms while a backlog is
+queued and the demand otherwise, so each segment splits at most once,
+where its backlog drains, into pieces of constant service rate. Raw
+reads inside a piece repeat its latency; the few reads that hold a piece
+start or a drain end (which can fall mid-millisecond) take their served
+work from the closed form, exactly, in integers. The run is never
+stepped through millisecond by millisecond, nor read by read in Python.
 That noiseless raw trace is the same for every seed; noise is overlaid
-on it per seed, and the result is averaged into probing windows.
+on it per seed, and the result is averaged into probing windows of a
+ContentionTrace, which holds read-only arrays.
 
 Two noise terms ride on each raw read: white Gaussian measurement noise
 (noise_stddev_ms) and a slow mean-reverting baseline wander
@@ -143,25 +149,72 @@ class InterfererProfile:
         return empty, empty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContentionTrace:
-    """Averaged probe latencies, one value per probing window."""
+    """Averaged probe latencies, one value per probing window.
+
+    It holds read-only int64 window starts and float64 values, copied from
+    the sequences it is built from unless those already are read-only
+    arrays of that type. Two traces are equal when their probe interval,
+    starts and values are; a trace cannot be hashed. Every trace is
+    checked here, from the simulator or a CSV file alike: one start per
+    value, finite values, and starts that rise by probe_interval_ms.
+    """
 
     probe_interval_ms: int
-    window_starts_ms: tuple[int, ...]
-    values_ms: tuple[float, ...]
+    window_starts_ms: np.ndarray
+    values_ms: np.ndarray
+
+    def __post_init__(self) -> None:
+        starts = _read_only(self.window_starts_ms, np.int64)
+        values = _read_only(self.values_ms, np.float64)
+        object.__setattr__(self, "window_starts_ms", starts)
+        object.__setattr__(self, "values_ms", values)
+        if starts.ndim != 1 or starts.shape != values.shape:
+            raise ValueError(
+                f"a trace needs one window start per value, got {starts.size} "
+                f"starts and {values.size} values"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = np.argmin(finite)
+            raise ValueError(
+                f"trace value {values[bad]} at window start {starts[bad]} is not finite"
+            )
+        steps = np.diff(starts)
+        if (steps < 1).any():
+            raise ValueError("window starts do not rise")
+        if self.probe_interval_ms < 1:
+            raise ValueError(
+                f"probe_interval_ms must be >= 1, got {self.probe_interval_ms}"
+            )
+        if (steps != self.probe_interval_ms).any():
+            raise ValueError(
+                f"window starts are not evenly spaced {self.probe_interval_ms} ms apart"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ContentionTrace):
+            return NotImplemented
+        return (
+            self.probe_interval_ms == other.probe_interval_ms
+            and np.array_equal(self.window_starts_ms, other.window_starts_ms)
+            and np.array_equal(self.values_ms, other.values_ms)
+        )
 
     def values(self) -> np.ndarray:
-        return np.asarray(self.values_ms, dtype=np.float64)
+        return self.values_ms
 
     def to_csv(self) -> str:
         lines = ["window_start_ms,avg_access_time_ms"]
-        for start, value in zip(self.window_starts_ms, self.values_ms):
+        starts, values = self.window_starts_ms.tolist(), self.values_ms.tolist()
+        for start, value in zip(starts, values):
             lines.append(f"{start},{value!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "ContentionTrace":
+        """Parse to_csv's output; the window spacing is the probe interval."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or lines[0] != "window_start_ms,avg_access_time_ms":
             raise ValueError("missing trace CSV header")
@@ -177,16 +230,17 @@ class ContentionTrace:
             starts = np.array(cells[0::2], dtype=np.int64)
         except OverflowError:
             raise ValueError("a window start does not fit in 64 bits") from None
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            value_s = cells[2 * bad[0] + 1].strip()
-            raise ValueError(f"trace value {value_s!r} is not finite")
-        pri = int(starts[1] - starts[0])
-        if pri < 1:
-            raise ValueError("window starts do not rise")
-        if (np.diff(starts) != pri).any():
-            raise ValueError("window starts are not evenly spaced")
-        return cls(pri, tuple(starts.tolist()), tuple(values.tolist()))
+        starts.flags.writeable = values.flags.writeable = False  # handed over
+        return cls(int(starts[1] - starts[0]), starts, values)
+
+
+def _read_only(data, dtype) -> np.ndarray:
+    """data as a read-only array: a copy, unless it already is one."""
+    array = np.asarray(data, dtype=dtype)
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
 def _baseline_wander(rng: np.random.Generator, n: int, disk: DiskModel) -> np.ndarray:
@@ -250,9 +304,15 @@ def noiseless_raw_trace(
     at virtual time zero. Windows of pri_ms must tile the run exactly.
     Within a segment of constant demand d starting with backlog B, the
     backlog after k ms is max(0, B + k (d - capacity)) and the work served
-    is k d plus the backlog drained, so the served work at every raw read
-    boundary follows from the segment it falls in. The result is read-only
-    so that every trial of a run can share it.
+    is k d plus the backlog drained. Served work therefore rises at
+    capacity per ms while B + k (d - capacity) > 0 and at d afterwards: a
+    segment is one piece of constant rate, or two when its backlog drains
+    at B / (capacity - d) ms, before it ends. Each read inside one piece
+    gets that piece's latency by np.repeat, from the same expression as a
+    read evaluated on its own, so the value is bit-identical. A read that
+    holds a piece start or a drain end gets the closed form's served work
+    at its two edges. The result is read-only so that every trial of a
+    run can share it.
 
     Raises:
         WindowMismatch: run_duration_ms is not a multiple of pri_ms, or
@@ -284,14 +344,39 @@ def noiseless_raw_trace(
 
     starts, demand = _demand_segments(schedule, interferer, run_duration_ms, lead_in_ms)
     lengths = np.diff(starts, append=run_duration_ms)
-    surplus = demand - disk.capacity_accessors
+    capacity = disk.capacity_accessors
+    surplus = demand - capacity
     # Cumulative demand and Lindley backlog at each segment start.
     arrived = np.concatenate(([0], np.cumsum(demand * lengths)[:-1]))
     drift = np.concatenate(([0], np.cumsum(surplus * lengths)[:-1]))
     backlog = drift - np.minimum.accumulate(drift)
 
+    # Served rate from each segment start, and the segments whose backlog
+    # drains before they end, from which on the rate is the demand.
+    rate = np.where(backlog > 0, capacity, np.minimum(demand, capacity))
+    drains = (backlog > 0) & (surplus < 0) & (backlog < -surplus * lengths)
+    spare = np.where(drains, -surplus, 1)
     period = disk.raw_sample_period_ms
-    edges = np.arange(0, run_duration_ms + 1, period, dtype=np.int64)
+    # Pieces in time order: each segment start, then its drain end if any,
+    # and the read holding each: floor(start / period), in integers.
+    piece = np.column_stack((np.ones_like(drains), drains))
+    piece_read = np.column_stack(
+        (starts // period, (starts * spare + backlog) // (spare * period))
+    )[piece]
+    piece_rate = np.column_stack((rate, demand))[piece]
+
+    def latency(work: np.ndarray) -> np.ndarray:
+        # Same sum as averaging base + slope * load over each read, exact
+        # when the latencies are integers as with the default model.
+        slope = disk.contention_slope_ms
+        return (period * disk.base_latency_ms + slope * work) / period
+
+    n_reads = run_duration_ms // period
+    raw = np.repeat(latency(piece_rate * period), np.diff(piece_read, append=n_reads))
+    # A read holding a piece start or a drain end mixes two rates; its work
+    # comes from the closed form at its two edges.
+    mixed = np.unique(piece_read)
+    edges = np.concatenate((mixed, mixed + 1)) * period
     seg = np.searchsorted(starts, edges, side="right") - 1
     into = edges - starts[seg]
     served = (
@@ -299,10 +384,7 @@ def noiseless_raw_trace(
         + demand[seg] * into
         - np.maximum(0, backlog[seg] + surplus[seg] * into)
     )
-    # Same sum as averaging base + slope * load over each read, exact when
-    # the latencies are integers as with the default model.
-    work = np.diff(served)
-    raw = (period * disk.base_latency_ms + disk.contention_slope_ms * work) / period
+    raw[mixed] = latency(served[mixed.size :] - served[: mixed.size])
     raw.flags.writeable = False
     return raw
 
@@ -317,18 +399,25 @@ def overlay_noise(
     sets to zero.
     """
     rng = np.random.default_rng(seed)
+    # Each term is summed into its own fresh draw (y + x is x + y bit for
+    # bit), so the shared raw is never written and no extra array is made.
     noisy = raw
     if disk.wander_stddev_ms > 0:
-        noisy = noisy + _baseline_wander(rng, raw.size, disk)
+        wander = _baseline_wander(rng, raw.size, disk)
+        wander += noisy
+        noisy = wander
     if disk.noise_stddev_ms > 0:
-        noisy = noisy + rng.normal(0.0, disk.noise_stddev_ms, raw.size)
-    if disk.wander_stddev_ms > 0 or disk.noise_stddev_ms > 0:
-        noisy = np.maximum(noisy, CLAMP_FRACTION * disk.base_latency_ms)
+        white = rng.normal(0.0, disk.noise_stddev_ms, raw.size)
+        white += noisy
+        noisy = white
+    if noisy is not raw:
+        np.maximum(noisy, CLAMP_FRACTION * disk.base_latency_ms, out=noisy)
 
     per_window = pri_ms // disk.raw_sample_period_ms
     values = noisy.reshape(-1, per_window).mean(axis=1)
-    starts = tuple(range(0, raw.size * disk.raw_sample_period_ms, pri_ms))
-    return ContentionTrace(pri_ms, starts, tuple(values.tolist()))
+    starts = np.arange(0, raw.size * disk.raw_sample_period_ms, pri_ms, dtype=np.int64)
+    starts.flags.writeable = values.flags.writeable = False  # handed over
+    return ContentionTrace(pri_ms, starts, values)
 
 
 def simulate(

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,7 +89,7 @@ def test_noiseless_simulation_matches_loop_oracle():
     trace = simulate(schedule, disk, interferer, 200, 2400, lead_in_ms=300, seed=4)
     oracle = noiseless_trace_loop(schedule, disk, interferer, 200, 2400, 300)
     assert list(trace.values_ms) == pytest.approx(oracle, rel=0, abs=1e-9)
-    assert trace.window_starts_ms == tuple(range(0, 2400, 200))
+    assert trace.window_starts_ms.tolist() == list(range(0, 2400, 200))
 
 
 def test_noiseless_simulation_matches_loop_oracle_under_overload():
@@ -139,6 +140,31 @@ def test_noiseless_simulation_matches_loop_oracle_on_random_runs(run):
     assert list(trace.values_ms) == pytest.approx(oracle, rel=0, abs=1e-9)
 
 
+# capacity 15: 35 ms at demand 17 queue a backlog of 70, which drains at
+# 3 per ms during 24 ms at demand 12, so it empties 23 1/3 ms in; then idle.
+FRACTIONAL_DRAIN = (
+    AccessSchedule(((0, 35),), 5, 35), InterfererProfile("benchmark", 12, 10_000, 59)
+)
+# 35 ms at demand 17, then demand 8: the backlog of 70 drains in exactly 10 ms.
+EDGE_DRAIN = (AccessSchedule(((0, 35),), 9, 35), InterfererProfile("stress", 8))
+# The fractional drain, plus 2 ms of demand 5 inside the read [60, 65).
+SHORT_SEGMENT = (
+    AccessSchedule(((0, 35), (61, 63)), 5, 63),
+    InterfererProfile("benchmark", 12, 10_000, 59),
+)
+
+
+@pytest.mark.parametrize("period", [1, 5])
+@pytest.mark.parametrize("case", [FRACTIONAL_DRAIN, EDGE_DRAIN, SHORT_SEGMENT],
+                         ids=["fractional-drain", "edge-drain", "short-segment"])
+def test_noiseless_simulation_matches_loop_oracle_across_a_drain(case, period):
+    schedule, interferer = case
+    disk = DiskModel(raw_sample_period_ms=period, capacity_accessors=15)
+    trace = simulate(schedule, disk, interferer, period, 100)
+    oracle = noiseless_trace_loop(schedule, disk, interferer, period, 100)
+    assert list(trace.values_ms) == pytest.approx(oracle, rel=0, abs=1e-9)
+
+
 def test_moderate_noise_trace_bytes_are_pinned():
     # Exact bytes of one noisy trace with overload: the noiseless levels, the
     # noise draws and their order all feed it, so none can change unnoticed.
@@ -166,8 +192,8 @@ def test_same_seed_same_trace_different_seed_differs():
     a = simulate(schedule, disk, InterfererProfile.none(), 100, 600, seed=5)
     b = simulate(schedule, disk, InterfererProfile.none(), 100, 600, seed=5)
     c = simulate(schedule, disk, InterfererProfile.none(), 100, 600, seed=6)
-    assert a.values_ms == b.values_ms
-    assert a.values_ms != c.values_ms
+    assert np.array_equal(a.values_ms, b.values_ms)
+    assert not np.array_equal(a.values_ms, c.values_ms)
 
 
 def test_noise_floor_clamp():
@@ -201,8 +227,56 @@ def test_trace_csv_round_trip_is_lossless():
         schedule, DiskModel.preset("harsh"), InterfererProfile.none(), 100, 600, seed=9
     )
     parsed = ContentionTrace.from_csv(trace.to_csv())
-    assert parsed.values_ms == trace.values_ms
+    assert np.array_equal(parsed.values_ms, trace.values_ms)
     assert parsed.probe_interval_ms == trace.probe_interval_ms
+    assert parsed == trace
+
+
+def test_trace_holds_read_only_arrays():
+    schedule = make_schedule((1, 0, 1, 1), bit_time=100)
+    trace = simulate(
+        schedule, DiskModel.preset("moderate"), InterfererProfile.none(), 100, 600
+    )
+    fields = ((trace.window_starts_ms, np.int64), (trace.values_ms, np.float64))
+    for array, dtype in fields:
+        assert isinstance(array, np.ndarray) and array.dtype == dtype
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert trace.values() is trace.values_ms
+    with pytest.raises(TypeError):
+        hash(trace)
+
+
+def test_trace_built_from_tuples_or_a_writable_array_copies_them():
+    values = np.array([10.0, 12.5, 10.0])
+    trace = ContentionTrace(100, (0, 100, 200), values)
+    values[0] = 99.0
+    assert trace.window_starts_ms.dtype == np.int64
+    assert trace.values_ms.tolist() == [10.0, 12.5, 10.0]
+    assert trace.to_csv() == (
+        "window_start_ms,avg_access_time_ms\n0,10.0\n100,12.5\n200,10.0\n"
+    )
+
+
+def test_trace_equality_compares_interval_starts_and_values():
+    trace = ContentionTrace(100, (0, 100), (10.0, 12.0))
+    assert trace == ContentionTrace(100, np.array([0, 100]), [10.0, 12.0])
+    assert trace != ContentionTrace(100, (100, 200), (10.0, 12.0))
+    assert trace != ContentionTrace(100, (0, 100), (10.0, 12.5))
+    assert ContentionTrace(100, (0,), (10.0,)) != ContentionTrace(200, (0,), (10.0,))
+    assert trace != (100, (0, 100), (10.0, 12.0))
+
+
+@pytest.mark.parametrize("pri, starts, values, message", [
+    (10, (0, 10, 20), (1.0, 2.0), "one window start per value"),
+    (10, (0, 25, 50), (1.0, 2.0, 3.0), "evenly spaced"),
+    (10, (0, 10, 10), (1.0, 2.0, 3.0), "do not rise"),
+    (10, (0, 10), (1.0, float("nan")), "not finite"),
+    (0, (0,), (1.0,), "probe_interval_ms"),
+])
+def test_trace_constructor_rejects_inconsistent_traces(pri, starts, values, message):
+    with pytest.raises(ValueError, match=message):
+        ContentionTrace(pri, starts, values)
 
 
 def test_trace_csv_rejects_bad_header():

@@ -76,19 +76,19 @@ def _disk_and_interferer(
     args: argparse.Namespace,
 ) -> tuple[DiskModel, InterfererProfile]:
     """Channel model from --config, with --noise/--interferer on top."""
-    if getattr(args, "config", None):
+    disk, interferer = DiskModel(), InterfererProfile.none()
+    if args.config:
         disk, interferer = read_channel_config(args.config)
-    else:
-        disk, interferer = DiskModel(), InterfererProfile.none()
-    if getattr(args, "noise", None):
+    if args.noise:
         noise, wander = NOISE_PRESETS[args.noise]
-        disk = dataclasses.replace(
-            disk, noise_stddev_ms=noise, wander_stddev_ms=wander
-        )
-    kind = getattr(args, "interferer", None)
-    if kind is not None:
-        interferer = getattr(InterfererProfile, kind)()
+        disk = dataclasses.replace(disk, noise_stddev_ms=noise, wander_stddev_ms=wander)
+    if args.interferer is not None:
+        interferer = getattr(InterfererProfile, args.interferer)()
     return disk, interferer
+
+
+def _channel_params(args: argparse.Namespace) -> ChannelParams:
+    return ChannelParams(args.bt, args.pri, args.n, args.th)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -106,7 +106,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
             f"not --pri {args.pri}"
         )
     payload = decode_message(trace, DecoderConfig(args.bt, args.pri))
-    print(bits_to_text(payload) if args.text else bits_to_string(payload))
+    try:
+        text = bits_to_text(payload) if args.text else bits_to_string(payload)
+    except ValueError as exc:  # not whole UTF-8 bytes: the channel garbled them
+        raise DecodeError("text decoding", exc) from exc
+    print(text)
     return 0
 
 
@@ -123,7 +127,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_transmit(args: argparse.Namespace) -> int:
     payload = _message_bits(args)
     disk, interferer = _disk_and_interferer(args)
-    params = ChannelParams(args.bt, args.pri, args.n, args.th)
+    params = _channel_params(args)
     transmission = prepare_transmission(
         params, payload, disk, interferer, lead_in_ms=args.lead_in
     )
@@ -141,10 +145,9 @@ def cmd_transmit(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    params = ChannelParams(args.bt, args.pri, args.n, args.th)
     disk, interferer = _disk_and_interferer(args)
     return ExperimentSpec(
-        params=params,
+        params=_channel_params(args),
         payload_bits=args.payload_bits,
         n_trials=args.trials,
         base_seed=args.seed,
@@ -189,29 +192,51 @@ def _add_message_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--bits", help="message as a 0/1 string")
 
 
-def _add_sender_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bt", type=int, required=True, help="bit time in ms")
-    parser.add_argument("--n", type=int, default=5, help="accessor task count")
-    parser.add_argument(
-        "--th", type=float, default=0.9, help="fraction of a run's last bit kept active"
-    )
-
-
-def _add_channel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--noise", choices=sorted(NOISE_PRESETS), help="noise preset to apply"
-    )
-    parser.add_argument("--config", help="channel config file (key = value lines)")
-    parser.add_argument(
-        "--interferer",
+# Flags that several subcommands take, by dest: option strings, add_argument
+# keywords. _add_flags makes fresh actions, so no default leaks across commands.
+FLAGS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "bt": (("--bt",), dict(type=int, required=True, help="bit time in ms")),
+    "pri": (("--pri",), dict(type=int, required=True, help="probe interval in ms")),
+    "n": (("--n",), dict(type=int, default=5, help="accessor task count")),
+    "th": (("--th",), dict(
+        type=float, default=0.9, help="fraction of a run's last bit kept active"
+    )),
+    "lead_in": (("--lead-in",), dict(
+        type=int, help="idle ms before the schedule (default 2 bit times)"
+    )),
+    "trials": (("--trials",), dict(
+        type=int, default=10, help="trials per sweep point or scenario"
+    )),
+    "payload_bits": (("--payload-bits",), dict(
+        type=int, default=96, help="length of the random payload"
+    )),
+    "payload_seed": (("--payload-seed",), dict(
+        type=int, default=1234, help="seed of the random payload"
+    )),
+    "noise": (("--noise",), dict(
+        choices=sorted(NOISE_PRESETS), help="noise preset to apply"
+    )),
+    "config": (("--config",), dict(help="channel config file (key = value lines)")),
+    "interferer": (("--interferer",), dict(
         choices=INTERFERER_KINDS,
         help="background load profile (overrides the config file)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="channel noise seed")
+    )),
+    "seed": (("--seed",), dict(type=int, default=0, help="channel noise seed")),
+    "output": (("--output", "-o"), dict(help="output file, '-' or absent for stdout")),
+}
+SENDER_FLAGS = ("bt", "n", "th")
+CHANNEL_FLAGS = ("noise", "config", "interferer", "seed")
+TRIAL_FLAGS = ("trials", "payload_bits", "payload_seed", "lead_in")
 
 
-def _add_output_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", "-o", help="output file, '-' or absent for stdout")
+def _add_flags(parser: argparse.ArgumentParser, *names: str, **defaults) -> None:
+    """Declare the named FLAGS in order; defaults override the table's."""
+    for name in names:
+        option_strings, kwargs = FLAGS[name]
+        if name in defaults:
+            kwargs = dict(kwargs, default=defaults[name], required=False)
+            kwargs["help"] += f" (default {defaults[name]})"
+        parser.add_argument(*option_strings, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,14 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="frame a message into an access schedule")
     _add_message_args(p)
-    _add_sender_args(p)
-    _add_output_arg(p)
+    _add_flags(p, *SENDER_FLAGS, "output")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="recover a message from a trace CSV")
     p.add_argument("trace", help="trace CSV file, '-' for stdin")
-    p.add_argument("--bt", type=int, required=True, help="bit time in ms")
-    p.add_argument("--pri", type=int, required=True, help="probe interval in ms")
+    _add_flags(p, "bt", "pri")
     p.add_argument(
         "--text", action="store_true", help="print the payload as UTF-8 text"
     )
@@ -238,27 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a schedule through the channel model")
     p.add_argument("schedule", help="schedule file from encode, '-' for stdin")
-    p.add_argument("--pri", type=int, required=True, help="probe interval in ms")
-    p.add_argument(
-        "--lead-in", type=int, help="idle ms before the schedule (default 2 bit times)"
-    )
+    _add_flags(p, "pri", "lead_in")
     p.add_argument(
         "--duration",
         type=int,
         help="total run ms (default: lead-in, schedule, one idle bit; whole windows)",
     )
-    _add_channel_args(p)
-    _add_output_arg(p)
+    _add_flags(p, *CHANNEL_FLAGS, "output")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("transmit", help="encode, simulate and decode in one run")
     _add_message_args(p)
-    _add_sender_args(p)
-    p.add_argument("--pri", type=int, required=True, help="probe interval in ms")
-    p.add_argument(
-        "--lead-in", type=int, help="idle ms before the schedule (default 2 bit times)"
-    )
-    _add_channel_args(p)
+    _add_flags(p, *SENDER_FLAGS, "pri", "lead_in", *CHANNEL_FLAGS)
     p.set_defaults(func=cmd_transmit)
 
     p = sub.add_parser("sweep", help="error rate along one parameter axis")
@@ -268,41 +282,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--values", required=True, help="comma separated values for the axis"
     )
-    _add_sender_args(p)
-    p.add_argument("--pri", type=int, required=True, help="probe interval in ms")
-    p.add_argument("--trials", type=int, default=10, help="trials per point")
-    p.add_argument("--payload-bits", type=int, default=96)
-    p.add_argument("--payload-seed", type=int, default=1234)
-    p.add_argument("--lead-in", type=int, default=None)
-    _add_channel_args(p)
-    _add_output_arg(p)
+    _add_flags(p, *SENDER_FLAGS, "pri", *TRIAL_FLAGS, *CHANNEL_FLAGS, "output")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
         "robustness", help="error rate under none/benchmark/stress interference"
     )
-    p.add_argument("--bt", type=int, default=ROBUSTNESS_POINT.bit_time_ms)
-    p.add_argument("--pri", type=int, default=ROBUSTNESS_POINT.probe_interval_ms)
-    p.add_argument("--n", type=int, default=ROBUSTNESS_POINT.n_accessors)
-    p.add_argument("--th", type=float, default=ROBUSTNESS_POINT.threshold)
-    p.add_argument("--trials", type=int, default=5, help="trials per scenario")
-    p.add_argument("--payload-bits", type=int, default=96)
-    p.add_argument("--payload-seed", type=int, default=1234)
-    p.add_argument("--lead-in", type=int, default=None)
-    p.add_argument(
-        "--noise", choices=sorted(NOISE_PRESETS), default="moderate",
-        help="noise preset (default moderate)",
+    # Each scenario sets its own interferer, so robustness takes no such flag.
+    point = ROBUSTNESS_POINT
+    _add_flags(
+        p, "bt", "pri", "n", "th", *TRIAL_FLAGS, "noise", "config", "seed", "output",
+        bt=point.bit_time_ms, pri=point.probe_interval_ms,
+        n=point.n_accessors, th=point.threshold, trials=5, noise="moderate",
     )
-    p.add_argument("--config", help="channel config file (key = value lines)")
-    p.add_argument("--seed", type=int, default=0, help="channel noise seed")
-    _add_output_arg(p)
-    p.set_defaults(func=cmd_robustness)
+    p.set_defaults(func=cmd_robustness, interferer=None)
 
     p = sub.add_parser("probe", help="record a control trace with no sender")
-    p.add_argument("--pri", type=int, required=True, help="probe interval in ms")
+    _add_flags(p, "pri")
     p.add_argument("--duration", type=int, required=True, help="run length in ms")
-    _add_channel_args(p)
-    _add_output_arg(p)
+    _add_flags(p, *CHANNEL_FLAGS, "output")
     p.set_defaults(func=cmd_probe)
 
     return parser

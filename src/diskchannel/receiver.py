@@ -5,8 +5,8 @@ samples_per_bit samples, every same-length subsequence starting inside a
 window is scored by variance, and the modal argmin offset across windows
 wins (a correctly aligned window sits inside one bit and is nearly flat).
 Offsets within a relative tolerance of a window's minimum tie and the
-smallest votes; a window with no contrast at all (a noiseless plateau)
-abstains, except a truncated last window with a single candidate.
+smallest votes; a window with no contrast at all (a noiseless plateau, or
+a truncated last window with a single candidate) abstains.
 Phase 2 averages each bit period and classifies against a global average
 threshold that is iteratively re-centred between the two class means.
 Phase 3 locates the alternating preamble, phase 4 checks the start marker
@@ -119,8 +119,8 @@ def detect_bit_start(trace: Sequence[float], config: DecoderConfig) -> int:
     - offsets within tol of the window's minimum variance tie, and the
       window votes the smallest of them;
     - a window whose candidates all lie within tol of each other is flat
-      and abstains (noiseless plateaus, where every offset fits);
-    - a truncated last window with a single candidate still votes;
+      and abstains (noiseless plateaus, where every offset fits, and a
+      truncated last window with a single candidate);
     - the offset with the most votes wins, a tie going to the smaller.
 
     Raises:
@@ -158,7 +158,7 @@ def detect_bit_start(trace: Sequence[float], config: DecoderConfig) -> int:
             "no sampling offset shows a variance contrast above "
             f"{VARIANCE_EPSILON} of the trace variance"
         )
-    votes = tied.argmax(axis=1)[contrast | (n_candidates == 1)]
+    votes = tied.argmax(axis=1)[contrast]
     return int(np.argmax(np.bincount(votes, minlength=spb)))
 
 

@@ -72,9 +72,9 @@ def bit_start_vote_loop(
     given, every score is statistics.pvariance of that slice. Offsets
     within tol = VARIANCE_EPSILON * pvariance(values) of a window's
     minimum tie and the smallest votes. A window whose candidates all lie
-    within tol of each other abstains, unless it is a truncated last
-    window with a single candidate. Raises ValueError when no window with
-    two or more candidates shows a spread above tol.
+    within tol of each other abstains, a truncated last window with a
+    single candidate included. Raises ValueError when no window shows a
+    spread above tol.
     """
     spb = samples_per_bit
     n_candidates = len(values) - spb + 1
@@ -84,17 +84,14 @@ def bit_start_vote_loop(
         ]
     tol = VARIANCE_EPSILON * statistics.pvariance(values)
     votes: Counter[int] = Counter()
-    contrast = False
     for j in range(len(values) // spb):
         base = j * spb
         scores = variances[base : base + spb]
         low = min(scores)
-        flat = max(scores) - low <= tol
-        if len(scores) > 1 and flat:
+        if max(scores) - low <= tol:
             continue
-        contrast = contrast or not flat
         votes[min(k for k, v in enumerate(scores) if v - low <= tol)] += 1
-    if not contrast:
+    if not votes:
         raise ValueError("no window shows a variance contrast")
     top = max(votes.values())
     return min(offset for offset, count in votes.items() if count == top)

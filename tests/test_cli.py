@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from diskchannel import ChannelParams, DiskModel, InterfererProfile, bits_from_string
-from diskchannel.cli import main
+from diskchannel.cli import build_parser, main
 from diskchannel.experiment import prepare_transmission
 
 BT = ["--bt", "500"]
@@ -91,6 +91,24 @@ def test_decode_failure_exit_one(capsys, tmp_path):
     code, _, stderr = run(capsys, "decode", str(trace), *BT, *PRI)
     assert code == 1
     assert "decode failed during bit-start detection" in stderr
+
+
+@pytest.mark.parametrize("bits, cause", [
+    ((0, 1, 1, 0, 1, 0, 0), "bit count 7 is not a multiple of 8"),
+    ((1,) * 8, "can't decode byte 0xff"),
+], ids=["partial-byte", "invalid-utf8"])
+def test_decode_text_of_garbled_payload_exit_one(
+    capsys, tmp_path, monkeypatch, bits, cause
+):
+    # A payload that is not whole UTF-8 bytes is a channel failure, not bad input.
+    monkeypatch.setattr("diskchannel.cli.decode_message", lambda trace, config: bits)
+    trace = tmp_path / "trace.csv"
+    rows = "".join(f"{t},10.0\n" for t in range(0, 3000, 100))
+    trace.write_text("window_start_ms,avg_access_time_ms\n" + rows)
+    code, stdout, stderr = run(capsys, "decode", str(trace), *BT, *PRI, "--text")
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("decode failed during text decoding: ")
+    assert cause in stderr
 
 
 def test_invalid_arguments_exit_two(capsys):
@@ -269,3 +287,63 @@ def test_simulate_schedule_without_bit_time_is_unchanged(capsys, tmp_path):
     assert hashlib.sha256(stdout.encode()).hexdigest() == (
         "62d0340becaf9922e0fc1022bfe7207492a56f44b570347efe5cb2832e98ab88"
     )
+
+
+# Each subcommand's minimal argv and the namespace it parses to, minus func:
+# the flags each takes, in declaration order, with their defaults.
+FLAG_SURFACES = {
+    "encode": (["--bits", "1", *BT], {
+        "text": None, "bits": "1", "bt": 500, "n": 5, "th": 0.9, "output": None,
+    }),
+    "decode": (["t.csv", *BT, *PRI], {
+        "trace": "t.csv", "bt": 500, "pri": 100, "text": False,
+    }),
+    "simulate": (["s.txt", *PRI], {
+        "schedule": "s.txt", "pri": 100, "lead_in": None, "duration": None,
+        "noise": None, "config": None, "interferer": None, "seed": 0, "output": None,
+    }),
+    "transmit": (["--text", "a", *BT, *PRI], {
+        "text": "a", "bits": None, "bt": 500, "n": 5, "th": 0.9, "pri": 100,
+        "lead_in": None, "noise": None, "config": None, "interferer": None, "seed": 0,
+    }),
+    "sweep": (["--axis", "n", "--values", "1", *BT, *PRI], {
+        "axis": "n", "values": "1", "bt": 500, "n": 5, "th": 0.9, "pri": 100,
+        "trials": 10, "payload_bits": 96, "payload_seed": 1234, "lead_in": None,
+        "noise": None, "config": None, "interferer": None, "seed": 0, "output": None,
+    }),
+    "robustness": ([], {
+        "bt": 10000, "pri": 400, "n": 5, "th": 0.9, "trials": 5,
+        "payload_bits": 96, "payload_seed": 1234, "lead_in": None,
+        "noise": "moderate", "config": None, "seed": 0, "output": None,
+    }),
+    "probe": ([*PRI, "--duration", "500"], {
+        "pri": 100, "duration": 500, "noise": None, "config": None,
+        "interferer": None, "seed": 0, "output": None,
+    }),
+}
+
+
+@pytest.mark.parametrize("command", FLAG_SURFACES)
+def test_subcommand_flag_surface(command):
+    argv, expected = FLAG_SURFACES[command]
+    parsed = vars(build_parser().parse_args([command, *argv]))
+    del parsed["func"]
+    if command == "robustness":
+        # each scenario picks its interferer; no flag sets it
+        assert parsed.pop("interferer", None) is None
+    assert list(parsed.items()) == [("command", command), *expected.items()]
+
+
+def test_robustness_rejects_interferer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["robustness", "--interferer", "stress"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --interferer stress" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", FLAG_SURFACES)
+def test_subcommand_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: diskchannel {command} ")

@@ -129,18 +129,18 @@ def test_detect_bit_start_keeps_precision_under_large_dc_level(amplitude):
     assert detect_bit_start(values, config) == want
 
 
-def test_detect_bit_start_single_candidate_last_window_votes():
+def test_detect_bit_start_single_candidate_last_window_abstains():
     # the second half slips 3 samples and is cut back to whole windows;
-    # windows 1, 4, 6 and the one-candidate window 7 vote 0, 3, 3, 0, the
-    # rest are flat and abstain, so the last window makes the tie that
-    # offset 0 wins
+    # windows 1, 4 and 6 vote 0, 3 and 3, the rest are flat and abstain,
+    # the one-candidate window 7 included, so offset 3 wins 2-1
     spb = 4
     values = square_wave((1, 1, 0, 0), spb, 11.0, 10.0)
     values += square_wave((1, 1, 0, 0), spb, 11.0, 10.0, offset=3)[:-3]
     config = DecoderConfig(bit_time_ms=40, probe_interval_ms=10)
     assert len(values) % spb == 0
-    assert detect_bit_start(values, config) == bit_start_vote_loop(values, spb) == 0
-    # with three more samples the last window has four flat candidates
+    assert detect_bit_start(values, config) == bit_start_vote_loop(values, spb) == 3
+    # with three more samples the last window has four flat candidates and
+    # abstains too: the same 2-1
     values += values[-1:] * (spb - 1)
     assert detect_bit_start(values, config) == bit_start_vote_loop(values, spb) == 3
 

@@ -9,10 +9,8 @@ and the error rate experiment harness behind the `diskchannel` CLI.
 
 from .bits import (
     Bits,
-    bits_from_bytes,
     bits_from_string,
     bits_from_text,
-    bits_to_bytes,
     bits_to_string,
     bits_to_text,
     random_bits,
@@ -23,7 +21,6 @@ from .channel import (
     DiskModel,
     InterfererProfile,
     parse_channel_config,
-    read_channel_config,
     simulate,
 )
 from .errors import (
@@ -116,10 +113,8 @@ __all__ = [
     "SyncNotFound",
     "TimeChangeVector",
     "WindowMismatch",
-    "bits_from_bytes",
     "bits_from_string",
     "bits_from_text",
-    "bits_to_bytes",
     "bits_to_string",
     "bits_to_text",
     "build_access_schedule",
@@ -136,7 +131,6 @@ __all__ = [
     "parse_channel_config",
     "per_bit_averages",
     "random_bits",
-    "read_channel_config",
     "reports_to_csv",
     "robustness_scenarios",
     "run_ber",

@@ -59,6 +59,11 @@ class DiskModel:
     capacity_accessors: int = 12
 
     def __post_init__(self) -> None:
+        # A NaN passes every comparison below, so reject it (and inf) first.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.base_latency_ms <= 0:
             raise ValueError("base_latency_ms must be positive")
         if self.contention_slope_ms < 0:
@@ -465,10 +470,11 @@ def parse_channel_config(text: str) -> tuple[DiskModel, InterfererProfile]:
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         cls, field = _CONFIG_FIELDS[key]
-        kwargs[cls][field.name] = type(field.default)(value)
+        convert = type(field.default)
+        try:
+            kwargs[cls][field.name] = convert(value)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: {key} takes a {convert.__name__}, got {value!r}"
+            ) from None
     return DiskModel(**kwargs[DiskModel]), InterfererProfile(**kwargs[InterfererProfile])
-
-
-def read_channel_config(path) -> tuple[DiskModel, InterfererProfile]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_channel_config(handle.read())

@@ -23,7 +23,7 @@ from .channel import (
     ContentionTrace,
     DiskModel,
     InterfererProfile,
-    read_channel_config,
+    parse_channel_config,
     simulate,
     whole_windows,
 )
@@ -78,7 +78,9 @@ def _disk_and_interferer(
     """Channel model from --config, with --noise/--interferer on top."""
     disk, interferer = DiskModel(), InterfererProfile.none()
     if args.config:
-        disk, interferer = read_channel_config(args.config)
+        disk, interferer = parse_channel_config(
+            Path(args.config).read_text(encoding="utf-8")
+        )
     if args.noise:
         noise, wander = NOISE_PRESETS[args.noise]
         disk = dataclasses.replace(disk, noise_stddev_ms=noise, wander_stddev_ms=wander)
@@ -172,8 +174,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_robustness(args: argparse.Namespace) -> int:
-    scenarios = robustness_scenarios(_spec_from_args(args))
-    _write_output(scenarios_to_csv(scenarios), args.output)
+    reports = robustness_scenarios(_spec_from_args(args))
+    _write_output(scenarios_to_csv(reports), args.output)
     return 0
 
 

@@ -243,13 +243,10 @@ def sweep(spec: ExperimentSpec, axis: str, values) -> tuple[BerReport, ...]:
     return tuple(reports)
 
 
-def robustness_scenarios(spec: ExperimentSpec) -> tuple[tuple[str, BerReport], ...]:
+def robustness_scenarios(spec: ExperimentSpec) -> tuple[BerReport, ...]:
     """BER under no, benchmark and stress interference with shared seeds."""
-    out = []
-    for name in INTERFERER_KINDS:
-        profile = getattr(InterfererProfile, name)()
-        out.append((name, run_ber(dataclasses.replace(spec, interferer=profile))))
-    return tuple(out)
+    profiles = (getattr(InterfererProfile, kind)() for kind in INTERFERER_KINDS)
+    return tuple(run_ber(dataclasses.replace(spec, interferer=p)) for p in profiles)
 
 
 CSV_HEADER = (
@@ -281,7 +278,8 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scenarios_to_csv(scenarios) -> str:
+def scenarios_to_csv(reports) -> str:
+    """reports_to_csv with a leading scenario column, the interferer kind."""
     lines = ["scenario," + CSV_HEADER]
-    lines.extend(f"{name},{report_csv_row(r)}" for name, r in scenarios)
+    lines.extend(f"{r.interferer_kind},{report_csv_row(r)}" for r in reports)
     return "\n".join(lines) + "\n"

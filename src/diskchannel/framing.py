@@ -142,28 +142,21 @@ def encapsulate(payload: Iterable[int]) -> Bits:
 
 
 def decapsulate(message: Iterable[int]) -> Bits:
-    """Extract and destuff the payload from a framed message.
+    """Extract and destuff the payload of a frame, read as frame_sync reads it.
 
-    Leading noise bits ahead of the symbol sync are tolerated. A missing
-    preamble surfaces as NoStartMarker since nothing anchors the search.
+    The message must start with the symbol sync, and the start marker must
+    follow it at once; no bits ahead of the frame are skipped.
 
     Raises:
-        NoStartMarker: start marker (or the preamble before it) not found.
+        NoStartMarker: no symbol sync at the head, or no start marker after it.
         NoEndMarker: no end marker after the start marker.
         MalformedStuffing: payload span violates the stuffing invariant.
     """
     data = as_bit_bytes(message)
-    sync_at = data.find(_SYNC_BYTES)
-    if sync_at < 0:
-        raise NoStartMarker("symbol sync preamble not found")
-    start_at = data.find(_START_BYTES, sync_at + len(SYMBOL_SYNC))
-    if start_at < 0:
-        raise NoStartMarker("no start marker after symbol sync")
-    payload_from = start_at + len(START_MARKER)
-    end_at = data.find(_END_BYTES, payload_from)
-    if end_at < 0:
-        raise NoEndMarker("no end marker after payload")
-    return tuple(_destuff(data[payload_from:end_at]))
+    if not data.startswith(_SYNC_BYTES):
+        raise NoStartMarker("message does not start with the symbol sync")
+    start, end = frame_sync(data, len(SYMBOL_SYNC))
+    return tuple(_destuff(data[start:end]))
 
 
 def symbol_sync(decoded_bits: Iterable[int]) -> int:

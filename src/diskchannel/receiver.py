@@ -260,19 +260,14 @@ def decode_message(trace: ContentionTrace, config: DecoderConfig) -> Bits:
         DecodeError: any phase failed; .phase names the culprit and
             .cause carries the underlying error.
     """
-    payload, _ = _decode_pipeline(trace, config)
+    payload, _ = decode_message_with_diagnostics(trace, config)
     return payload
 
 
 def decode_message_with_diagnostics(
     trace: ContentionTrace, config: DecoderConfig
 ) -> tuple[Bits, DecodeDiagnostics]:
-    return _decode_pipeline(trace, config)
-
-
-def _decode_pipeline(
-    trace: ContentionTrace, config: DecoderConfig
-) -> tuple[Bits, DecodeDiagnostics]:
+    """decode_message, also returning the artifacts of the phases that ran."""
     diag = DecodeDiagnostics()
     values = trace.values()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
-from .bits import as_bits
+from .bits import as_bit_bytes
 from .errors import DegenerateInterval, LeadingZero
 
 
@@ -139,7 +139,7 @@ def encode_tcv(message: Iterable[int], bit_time_ms: int) -> TimeChangeVector:
         LeadingZero: the first bit is 0.
         ValueError: empty message or invalid bit values.
     """
-    message = as_bits(message)
+    message = as_bit_bytes(message)
     if bit_time_ms < 1:
         raise ValueError(f"bit_time_ms must be >= 1, got {bit_time_ms}")
     if not message:

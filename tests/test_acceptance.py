@@ -195,7 +195,7 @@ def test_c08_background_load_ordering():
         n_trials=20,
         disk=moderate(),
     )
-    bers = {name: r.ber for name, r in robustness_scenarios(spec)}
+    bers = {r.interferer_kind: r.ber for r in robustness_scenarios(spec)}
     ok = (
         bers["none"] == 0.0
         and bers["benchmark"] == 0.0

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from diskchannel import (
-    bits_from_bytes,
     bits_from_string,
     bits_from_text,
-    bits_to_bytes,
     bits_to_string,
     bits_to_text,
     random_bits,
 )
-from diskchannel.bits import as_bit_bytes, as_bits
+from diskchannel.bits import as_bit_bytes
 
 
 def test_string_round_trip():
@@ -29,14 +27,16 @@ def test_string_parsing_rejects_other_characters():
         bits_from_string("10x1")
 
 
-def test_bytes_round_trip_is_msb_first():
-    assert bits_from_bytes(b"\x80") == (1, 0, 0, 0, 0, 0, 0, 0)
-    assert bits_to_bytes(bits_from_bytes(b"\x12\xff")) == b"\x12\xff"
+def test_text_is_utf8_msb_first():
+    assert bits_from_text("A") == (0, 1, 0, 0, 0, 0, 0, 1)
+    # U+00FF is the two UTF-8 bytes c3 bf
+    assert bits_from_text("\xff") == (1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1)
+    assert bits_to_text(bits_from_text("\x12\xff")) == "\x12\xff"
 
 
-def test_bytes_require_whole_octets():
-    with pytest.raises(ValueError):
-        bits_to_bytes((1, 0, 1))
+def test_text_requires_whole_octets():
+    with pytest.raises(ValueError, match="^bit count 3 is not a multiple of 8$"):
+        bits_to_text((1, 0, 1))
 
 
 def test_text_round_trip():
@@ -65,13 +65,12 @@ def test_every_input_form_validates_to_the_same_bits(values):
     assert as_bit_bytes(values) == b"\x01\x00\x01"
 
 
-def test_as_bits_names_first_non_bit_and_returns_ints():
-    assert as_bits([True, 0]) == (1, 0)
-    assert all(type(b) is int for b in as_bits((True, 0.0)))
+def test_as_bit_bytes_names_first_non_bit():
+    assert as_bit_bytes([True, 0]) == b"\x01\x00"
     with pytest.raises(ValueError, match="got 2$"):
-        as_bits((0, 1, 2, 300, -1))
+        as_bit_bytes((0, 1, 2, 300, -1))
     with pytest.raises(ValueError, match="got 300$"):
-        as_bits([0, 300, 2])
+        as_bit_bytes([0, 300, 2])
 
 
 @pytest.mark.parametrize(
@@ -80,4 +79,4 @@ def test_as_bits_names_first_non_bit_and_returns_ints():
 )
 def test_non_bits_raise_instead_of_truncating(values, bad):
     with pytest.raises(ValueError, match=f"got .*{re.escape(bad)}"):
-        as_bits(values)
+        as_bit_bytes(values)

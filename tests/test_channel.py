@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -356,8 +357,29 @@ def test_parse_channel_config_rejects_unknown_key():
         parse_channel_config("latency = 3\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("capacity_accessors = 1.5\n", "line 1: capacity_accessors takes a int, got '1.5'"),
+    ("# disk\n\nbase_latency_ms = ten\n",
+     "line 3: base_latency_ms takes a float, got 'ten'"),
+    ("interferer.load = x\n", "line 1: interferer.load takes a int, got 'x'"),
+])
+def test_parse_channel_config_names_the_line_of_a_bad_value(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_channel_config(text)
+
+
 def test_disk_model_validation():
     with pytest.raises(ValueError):
         DiskModel(base_latency_ms=0.0)
     with pytest.raises(ValueError):
         DiskModel(noise_stddev_ms=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", [
+    "base_latency_ms", "contention_slope_ms", "noise_stddev_ms",
+    "wander_stddev_ms", "wander_time_ms",
+])
+def test_disk_model_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        DiskModel(**{field: value})

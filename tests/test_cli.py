@@ -133,6 +133,20 @@ def test_bad_config_exit_two(capsys, tmp_path):
     assert "unknown config key" in stderr
 
 
+@pytest.mark.parametrize("line, error", [
+    ("capacity_accessors = 1.5", "line 1: capacity_accessors takes a int, got '1.5'"),
+    ("noise_stddev_ms = nan", "noise_stddev_ms must be finite, got nan"),
+    ("base_latency_ms = inf", "base_latency_ms must be finite, got inf"),
+])
+def test_config_value_errors_exit_two(capsys, tmp_path, line, error):
+    config = tmp_path / "channel.cfg"
+    config.write_text(line + "\n")
+    code, stdout, stderr = run(
+        capsys, "probe", *PRI, "--duration", "1000", "--config", str(config)
+    )
+    assert (code, stdout, stderr) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--axis", "pri", "--values", "0", "--bt", "1000", "--pri", "40",
      "--trials", "1"],

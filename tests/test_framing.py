@@ -146,6 +146,18 @@ def test_decapsulate_requires_end_marker():
         decapsulate(SYMBOL_SYNC + START_MARKER + (1, 0) * 4)
 
 
+def test_decapsulate_rejects_bits_ahead_of_the_sync():
+    with pytest.raises(NoStartMarker, match="does not start with the symbol sync"):
+        decapsulate((0, 1, 1) + encapsulate((1, 0)))
+
+
+def test_decapsulate_does_not_realign_on_a_corrupted_start_marker():
+    frame = list(encapsulate((0, 1, 1, 0, 1)))
+    frame[20] ^= 1  # the marker's first 0: 1111 1000
+    with pytest.raises(NoStartMarker, match="at index 16"):
+        decapsulate(frame)
+
+
 # --- receiver phases 3 and 4: symbol and frame sync ---
 
 

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -8,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from diskchannel import (
     AmbiguousPhase,
+    ChannelParams,
     ConstantSignal,
     DecodeError,
     DecoderConfig,
@@ -30,6 +30,7 @@ from diskchannel import (
     simulate,
     symbol_sync,
 )
+from diskchannel.experiment import prepare_transmission
 from oracles import bit_start_vote_loop, gab_fixed_point_loop
 
 CONFIG = DecoderConfig(bit_time_ms=1000, probe_interval_ms=200)
@@ -47,17 +48,11 @@ def square_wave(bits, spb, high=30.0, low=10.0, offset=0, jitter=0.0, seed=0):
 
 def transmit(payload, bit_time=1000, pri=200, n=5, th=0.9, lead_in=None,
              disk=None, seed=0):
-    frame = encapsulate(payload)
-    schedule = build_access_schedule(
-        encode_tcv(frame, bit_time), SenderConfig(bit_time, n, th)
+    transmission = prepare_transmission(
+        ChannelParams(bit_time, pri, n, th), payload, disk or DiskModel(),
+        InterfererProfile.none(), lead_in_ms=lead_in,
     )
-    lead_in = 2 * bit_time if lead_in is None else lead_in
-    span = lead_in + schedule.total_duration_ms + bit_time
-    run = math.ceil(span / pri) * pri
-    return simulate(
-        schedule, disk or DiskModel(), InterfererProfile.none(), pri, run,
-        lead_in, seed=seed,
-    )
+    return transmission.trace(seed)
 
 
 # --- phase 1: bit start detection ---

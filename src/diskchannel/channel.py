@@ -38,6 +38,9 @@ from .sender import AccessSchedule
 # Samples never drop below this fraction of the base latency.
 CLAMP_FRACTION = 0.1
 
+# Raw reads whose noise overlay_noise draws at a time.
+NOISE_CHUNK = 1 << 15
+
 # noise preset name -> (noise_stddev_ms, wander_stddev_ms)
 NOISE_PRESETS: dict[str, tuple[float, float]] = {
     "ideal": (0.0, 0.0),
@@ -248,19 +251,6 @@ def _read_only(data, dtype) -> np.ndarray:
     return array
 
 
-def _baseline_wander(rng: np.random.Generator, n: int, disk: DiskModel) -> np.ndarray:
-    """Stationary AR(1) wander sampled at the raw read period."""
-    # Imported here, its only use, because importing scipy takes a second.
-    from scipy.signal import lfilter
-
-    rho = math.exp(-disk.raw_sample_period_ms / disk.wander_time_ms)
-    start = disk.wander_stddev_ms * rng.standard_normal()
-    innovations = rng.standard_normal(n)
-    scale = disk.wander_stddev_ms * math.sqrt(1.0 - rho * rho)
-    wander, _ = lfilter([scale], [1.0, -rho], innovations, zi=np.array([rho * start]))
-    return wander
-
-
 def whole_windows(span_ms: int, pri_ms: int) -> int:
     """Shortest run of whole pri_ms probing windows that covers span_ms."""
     if pri_ms < 1:
@@ -401,21 +391,35 @@ def overlay_noise(
 
     The generator is drawn for the wander start, the wander innovations and
     then the white noise, in that order, skipping the terms the disk model
-    sets to zero.
+    sets to zero. Each term is drawn NOISE_CHUNK reads at a time into one
+    reused buffer and added into one copy of raw, so a trial holds one trace
+    plus a chunk or two. A stream drawn in chunks holds the same numbers as
+    one drawn whole, and the wander filter carries its state across chunks,
+    so the trace is the same bit for bit as with whole draws.
     """
-    rng = np.random.default_rng(seed)
-    # Each term is summed into its own fresh draw (y + x is x + y bit for
-    # bit), so the shared raw is never written and no extra array is made.
     noisy = raw
-    if disk.wander_stddev_ms > 0:
-        wander = _baseline_wander(rng, raw.size, disk)
-        wander += noisy
-        noisy = wander
-    if disk.noise_stddev_ms > 0:
-        white = rng.normal(0.0, disk.noise_stddev_ms, raw.size)
-        white += noisy
-        noisy = white
-    if noisy is not raw:
+    if disk.wander_stddev_ms > 0 or disk.noise_stddev_ms > 0:
+        rng = np.random.default_rng(seed)
+        noisy = raw.copy()
+        parts = [noisy[i : i + NOISE_CHUNK] for i in range(0, noisy.size, NOISE_CHUNK)]
+        draws = np.empty(min(NOISE_CHUNK, noisy.size))
+        if disk.wander_stddev_ms > 0:
+            # Imported here, its only use, because importing scipy takes a second.
+            from scipy.signal import lfilter
+
+            # Stationary AR(1) wander sampled at the raw read period.
+            rho = math.exp(-disk.raw_sample_period_ms / disk.wander_time_ms)
+            scale = disk.wander_stddev_ms * math.sqrt(1.0 - rho * rho)
+            state = np.array([rho * (disk.wander_stddev_ms * rng.standard_normal())])
+            for part in parts:
+                innovations = rng.standard_normal(out=draws[: part.size])
+                wander, state = lfilter([scale], [1.0, -rho], innovations, zi=state)
+                part += wander
+        if disk.noise_stddev_ms > 0:
+            for part in parts:
+                white = rng.standard_normal(out=draws[: part.size])
+                white *= disk.noise_stddev_ms
+                part += white
         np.maximum(noisy, CLAMP_FRACTION * disk.base_latency_ms, out=noisy)
 
     per_window = pri_ms // disk.raw_sample_period_ms

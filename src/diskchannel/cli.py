@@ -89,8 +89,15 @@ def _disk_and_interferer(
     return disk, interferer
 
 
+def _probe_interval(value: int, flag: str) -> int:
+    """A probe interval given on the command line; a bad one names its flag."""
+    if value < 1:
+        raise WindowMismatch(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _channel_params(args: argparse.Namespace) -> ChannelParams:
-    return ChannelParams(args.bt, args.pri, args.n, args.th)
+    return ChannelParams(args.bt, _probe_interval(args.pri, "--pri"), args.n, args.th)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -119,9 +126,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = AccessSchedule.from_text(_read_input(args.schedule))
     disk, interferer = _disk_and_interferer(args)
-    lead_in, run_ms = run_length(schedule, args.pri, args.lead_in)
+    pri = _probe_interval(args.pri, "--pri")
+    lead_in, run_ms = run_length(schedule, pri, args.lead_in)
     run_ms = run_ms if args.duration is None else args.duration
-    trace = simulate(schedule, disk, interferer, args.pri, run_ms, lead_in, args.seed)
+    trace = simulate(schedule, disk, interferer, pri, run_ms, lead_in, args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0
 
@@ -168,6 +176,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--values must be comma-separated numbers: {args.values!r}")
     if not values:
         raise ValueError("--values is empty")
+    if args.axis == "pri":
+        for value in values:
+            _probe_interval(value, "--values of --axis pri")
     reports = sweep(_spec_from_args(args), AXIS_MAP[args.axis], values)
     _write_output(reports_to_csv(reports), args.output)
     return 0
@@ -182,7 +193,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     disk, interferer = _disk_and_interferer(args)
     idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
-    duration = whole_windows(args.duration, args.pri)
+    duration = whole_windows(args.duration, _probe_interval(args.pri, "--pri"))
     trace = simulate(idle, disk, interferer, args.pri, duration, seed=args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0

@@ -10,8 +10,11 @@ charged the whole payload.
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +32,9 @@ from .errors import DecodeError
 from .framing import encapsulate
 from .receiver import DecoderConfig, decode_message
 from .sender import AccessSchedule, SenderConfig, build_access_schedule, encode_tcv
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -201,22 +207,89 @@ def run_trial(spec: ExperimentSpec, trial: int, payload: Bits) -> tuple[int, str
     return _decode_trial(transmission, spec.base_seed + trial, payload)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that run trials beside the calling thread, built on first use.
+# Noise draws, the wander filter and the array arithmetic release the GIL,
+# and they are most of a trial.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _trial_pool(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here, where it is first needed: the import takes ~10 ms.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="diskchannel-trial")
+        return _pool
+
+
+def _drop_pool() -> None:
+    # A forked child has none of the parent's threads, and the lock may
+    # have been held by one of them; the child builds its own pool.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _decode_trials(
+    transmission: Transmission, seeds: range, payload: Bits
+) -> list[tuple[int, str | None]]:
+    """_decode_trial at each seed, one CPU per share of the seeds.
+
+    Share i holds every k-th seed from the i-th, for k = min(CPUs, seeds).
+    The calling thread runs share 0 and the pool the others; the results
+    come back in seed order, so they do not depend on k.
+    """
+    cpus = _cpu_count()
+    k = min(cpus, len(seeds))
+
+    def run(share: range) -> list[tuple[int, str | None]]:
+        return [_decode_trial(transmission, seed, payload) for seed in share]
+
+    if k == 1:
+        return run(seeds)
+    pool = _trial_pool(cpus - 1)
+    futures = [pool.submit(run, seeds[i::k]) for i in range(1, k)]
+    shares = []
+    try:
+        shares.append(run(seeds[::k]))
+    finally:
+        # Every share is waited for, so no trial outlives the call.
+        shares.extend(future.result() for future in futures)
+    results: list[tuple[int, str | None]] = [(0, None)] * len(seeds)
+    for i, share in enumerate(shares):
+        results[i::k] = share
+    return results
+
+
 def run_ber(spec: ExperimentSpec) -> BerReport:
     """Aggregate BER over spec.n_trials independent noise realisations.
 
     The payload is fixed by payload_seed so that every trial (and every
     scenario sharing the spec) transmits the same bits; only the channel
     seed varies, so the noiseless transmission is prepared once and each
-    trial is run_trial's noise and decode on top of it.
+    trial is run_trial's noise and decode on top of it. Trials run on
+    every CPU the process may use, and the report is the same for any
+    number of them.
     """
     payload = random_bits(spec.payload_bits, spec.payload_seed)
     transmission = _spec_transmission(spec, payload)
+    seeds = range(spec.base_seed, spec.base_seed + spec.n_trials)
     bit_errors = 0
     phases: Counter[str] = Counter()
-    for trial in range(spec.n_trials):
-        errors, failed_phase = _decode_trial(
-            transmission, spec.base_seed + trial, payload
-        )
+    for errors, failed_phase in _decode_trials(transmission, seeds, payload):
         bit_errors += errors
         if failed_phase is not None:
             phases[failed_phase] += 1

@@ -7,8 +7,8 @@ wins (a correctly aligned window sits inside one bit and is nearly flat).
 Offsets within a relative tolerance of a window's minimum tie and the
 smallest votes; a window with no contrast at all (a noiseless plateau, or
 a truncated last window with a single candidate) abstains.
-Phase 2 averages each bit period and classifies against a global average
-threshold that is iteratively re-centred between the two class means.
+Phase 2 averages each bit period and classifies against a threshold that
+starts at the global average and is corrected from the class means.
 Phase 3 locates the alternating preamble, phase 4 checks the start marker
 and finds the end marker; both live in framing, beside the frame layout.
 Destuffing the span in between yields the payload.
@@ -186,11 +186,15 @@ def decode_with_gab(
     """Classify per-bit averages against an iteratively corrected threshold.
 
     The initial threshold is the global average. Each round computes the
-    class means V1/V0 and counts N1/N0 and moves the threshold by
-    -(N1 - N0) * (V1 - V0) / (2 * (N1 + N0)), which re-centres it at the
-    class midpoint and cancels the bias a skewed 1/0 mix puts on the
-    global average. Iteration stops when the classification stabilises,
-    when both classes are equally large, or after MAX_GAB_ITERATIONS.
+    class means V1/V0 and counts N1/N0 of the current decisions and moves
+    the current threshold by -(N1 - N0) * (V1 - V0) / (2 * (N1 + N0)).
+    Only the first round, which starts from the global average, lands on
+    the class midpoint and so cancels the bias a skewed 1/0 mix puts on
+    the average. Later rounds subtract the shift from a threshold that has
+    already moved, so they can overshoot the midpoint, and on a skewed mix
+    run away into a single class. Iteration stops when the classification
+    stabilises, when both classes are equally large, or after
+    MAX_GAB_ITERATIONS.
     config is not read; it keeps the call shape of the other phases.
 
     Raises:

@@ -12,14 +12,19 @@ import math
 import statistics
 from collections import Counter
 
+import numpy as np
+from scipy.signal import lfilter
+
 from diskchannel import (
     START_MARKER,
     AccessSchedule,
+    ContentionTrace,
     DiskModel,
     InterfererProfile,
     MalformedStuffing,
     SyncNotFound,
 )
+from diskchannel.channel import CLAMP_FRACTION
 from diskchannel.framing import MIN_SYNC_RUN
 from diskchannel.receiver import VARIANCE_EPSILON
 
@@ -61,6 +66,31 @@ def noiseless_trace_loop(
         sum(raw[i : i + per_window]) / per_window
         for i in range(0, len(raw), per_window)
     ]
+
+
+def overlay_noise_whole(
+    raw: np.ndarray, disk: DiskModel, pri_ms: int, seed: int = 0
+) -> ContentionTrace:
+    """overlay_noise with each noise term drawn whole, in one array per term."""
+    rng = np.random.default_rng(seed)
+    noisy = raw
+    if disk.wander_stddev_ms > 0:
+        rho = math.exp(-disk.raw_sample_period_ms / disk.wander_time_ms)
+        start = disk.wander_stddev_ms * rng.standard_normal()
+        innovations = rng.standard_normal(raw.size)
+        scale = disk.wander_stddev_ms * math.sqrt(1.0 - rho * rho)
+        zi = np.array([rho * start])
+        wander, _ = lfilter([scale], [1.0, -rho], innovations, zi=zi)
+        noisy = wander + noisy
+    if disk.noise_stddev_ms > 0:
+        white = rng.normal(0.0, disk.noise_stddev_ms, raw.size)
+        noisy = white + noisy
+    if noisy is not raw:
+        noisy = np.maximum(noisy, CLAMP_FRACTION * disk.base_latency_ms)
+    per_window = pri_ms // disk.raw_sample_period_ms
+    values = noisy.reshape(-1, per_window).mean(axis=1)
+    starts = np.arange(0, raw.size * disk.raw_sample_period_ms, pri_ms)
+    return ContentionTrace(pri_ms, starts, values)
 
 
 def bit_start_vote_loop(

@@ -18,8 +18,13 @@ from diskchannel import (
     parse_channel_config,
     simulate,
 )
-from diskchannel.channel import noiseless_raw_trace
-from oracles import noiseless_trace_loop
+from diskchannel.channel import (
+    CLAMP_FRACTION,
+    NOISE_CHUNK,
+    noiseless_raw_trace,
+    overlay_noise,
+)
+from oracles import noiseless_trace_loop, overlay_noise_whole
 
 
 def make_schedule(bits, bit_time=100, n=5, th=0.9):
@@ -195,6 +200,28 @@ def test_same_seed_same_trace_different_seed_differs():
     c = simulate(schedule, disk, InterfererProfile.none(), 100, 600, seed=6)
     assert np.array_equal(a.values_ms, b.values_ms)
     assert not np.array_equal(a.values_ms, c.values_ms)
+
+
+@pytest.mark.parametrize("reads", [
+    NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1, 3 * NOISE_CHUNK + 7,
+])
+@pytest.mark.parametrize("noise, wander", [
+    (0.0, 0.7), (1.0, 0.0), (1.0, 0.7), (8.0, 2.0),
+], ids=["wander", "white", "both", "clamped"])
+def test_noise_drawn_in_chunks_equals_whole_draws(reads, noise, wander):
+    # Windows of one read each, so every noisy read is compared bit for bit.
+    disk = DiskModel(noise_stddev_ms=noise, wander_stddev_ms=wander)
+    period = disk.raw_sample_period_ms
+    schedule = make_schedule((1, 0, 1, 1, 0, 0, 1, 0), bit_time=200, n=14)
+    raw = noiseless_raw_trace(
+        schedule, disk, InterfererProfile.benchmark(), period, reads * period
+    )
+    got = overlay_noise(raw, disk, period, seed=reads)
+    want = overlay_noise_whole(raw, disk, period, seed=reads)
+    assert got.window_starts_ms.tobytes() == want.window_starts_ms.tobytes()
+    assert got.values_ms.tobytes() == want.values_ms.tobytes()
+    floor = CLAMP_FRACTION * disk.base_latency_ms
+    assert (floor in got.values_ms) == (noise == 8.0)
 
 
 def test_noise_floor_clamp():

@@ -158,6 +158,24 @@ def test_zero_probe_interval_exit_two(capsys, argv):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["probe", "--pri", "0", "--duration", "1000"], "--pri"),
+    (["sweep", "--axis", "pri", "--values", "200,0", "--bt", "1000", "--pri", "200",
+      "--trials", "1"], "--values of --axis pri"),
+    (["transmit", "--bits", "1011", "--bt", "1000", "--pri", "0"], "--pri"),
+], ids=["probe", "sweep", "transmit"])
+def test_zero_probe_interval_names_the_flag(capsys, argv, flag):
+    assert run(capsys, *argv) == (2, "", f"error: {flag} must be >= 1, got 0\n")
+
+
+def test_simulate_zero_probe_interval_names_the_flag(capsys, tmp_path):
+    schedule = tmp_path / "schedule.txt"
+    run(capsys, "encode", "--bits", "1011", "--bt", "1000", "--output", str(schedule))
+    assert run(capsys, "simulate", str(schedule), "--pri", "0") == (
+        2, "", "error: --pri must be >= 1, got 0\n"
+    )
+
+
 def test_decode_rejects_trace_with_other_window_spacing(capsys, tmp_path):
     schedule = tmp_path / "schedule.txt"
     trace = tmp_path / "trace.csv"

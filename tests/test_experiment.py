@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import signal
+import threading
+import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -21,6 +26,7 @@ from diskchannel import (
     scenarios_to_csv,
     sweep,
 )
+from diskchannel import experiment
 from diskchannel.experiment import (
     count_payload_errors,
     prepare_transmission,
@@ -61,6 +67,22 @@ def test_run_ber_payload_is_seed_stable():
     assert a == b
 
 
+def run_trial_loop(spec):
+    """run_ber's report, from one run_trial per trial in the calling thread."""
+    payload = random_bits(spec.payload_bits, spec.payload_seed)
+    trials = [run_trial(spec, t, payload) for t in range(spec.n_trials)]
+    phases = Counter(phase for _, phase in trials if phase is not None)
+    return BerReport(
+        params=spec.params,
+        interferer_kind=spec.interferer.kind,
+        n_trials=spec.n_trials,
+        payload_bits=spec.payload_bits,
+        bit_errors=sum(errors for errors, _ in trials),
+        decode_failures=sum(phases.values()),
+        failure_phases=tuple(sorted(phases.items())),
+    )
+
+
 def test_run_ber_aggregates_run_trial():
     spec = fast_spec(
         n_trials=4,
@@ -68,13 +90,72 @@ def test_run_ber_aggregates_run_trial():
         disk=DiskModel.preset("moderate"),
         interferer=InterfererProfile.stress(),
     )
+    assert run_ber(spec) == run_trial_loop(spec)
+
+
+@pytest.mark.parametrize("interferer", ["none", "stress"])
+@pytest.mark.parametrize("noise", ["moderate", "harsh"])
+@pytest.mark.parametrize("base_seed", range(4))
+@pytest.mark.parametrize("n_trials", [1, 2, 3, 5])
+def test_run_ber_on_every_cpu_equals_a_loop_of_run_trial(
+    n_trials, base_seed, noise, interferer
+):
+    # Stress fails every decode, so the failed phases are compared too.
+    spec = fast_spec(
+        n_trials=n_trials,
+        base_seed=base_seed,
+        disk=DiskModel.preset(noise),
+        interferer=getattr(InterfererProfile, interferer)(),
+    )
+    assert run_ber(spec) == run_trial_loop(spec)
+
+
+def test_trials_come_back_in_seed_order():
+    spec = fast_spec(
+        disk=DiskModel.preset("harsh"), interferer=InterfererProfile.stress()
+    )
     payload = random_bits(spec.payload_bits, spec.payload_seed)
-    trials = [run_trial(spec, t, payload) for t in range(spec.n_trials)]
-    phases = Counter(phase for _, phase in trials if phase is not None)
-    report = run_ber(spec)
-    assert report.bit_errors == sum(errors for errors, _ in trials)
-    assert report.decode_failures == sum(phases.values())
-    assert report.failure_phases == tuple(sorted(phases.items()))
+    transmission = prepare_transmission(
+        spec.params, payload, spec.disk, spec.interferer
+    )
+    seeds = range(8)
+    expected = [experiment._decode_trial(transmission, seed, payload) for seed in seeds]
+    assert len(set(expected)) > 1  # the trials fail in different phases
+    assert experiment._decode_trials(transmission, seeds, payload) == expected
+
+
+def test_run_ber_on_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(experiment, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(experiment, "_pool", None)
+    threads = threading.active_count()
+    spec = fast_spec(n_trials=3, disk=DiskModel.preset("moderate"))
+    assert run_ber(spec) == run_trial_loop(spec)
+    assert threading.active_count() == threads
+    assert experiment._pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_run_ber_in_a_child_forked_after_the_pool_ran():
+    spec = fast_spec(n_trials=3, disk=DiskModel.preset("moderate"))
+    report = run_ber(spec)  # runs trials in the pool where there are 2+ CPUs
+    with warnings.catch_warnings():
+        # Python 3.12+ warns about forking a process that has threads;
+        # a fork after the pool ran is the case under test.
+        warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if run_ber(spec) == report else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's run_ber did not finish in 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 @st.composite

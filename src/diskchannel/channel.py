@@ -233,13 +233,35 @@ class ContentionTrace:
         if len(rows) < 2:
             raise ValueError("trace needs at least two windows")
         cells = ",".join(rows).split(",")  # start, value, start, value, ...
-        values = np.array(cells[1::2], dtype=np.float64)
         try:
+            values = np.array(cells[1::2], dtype=np.float64)
             starts = np.array(cells[0::2], dtype=np.int64)
         except OverflowError:
             raise ValueError("a window start does not fit in 64 bits") from None
+        except ValueError as exc:
+            raise _bad_trace_cell(text) or exc from None
         starts.flags.writeable = values.flags.writeable = False  # handed over
         return cls(int(starts[1] - starts[0]), starts, values)
+
+
+def _bad_trace_cell(text: str) -> ValueError | None:
+    """The error naming the first data line with a cell that is not a number.
+
+    numpy parses the cells with int() and float(), so these find the same
+    cells that the bulk conversion rejects.
+    """
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    columns = (
+        ("window_start_ms", int, "an integer"),
+        ("avg_access_time_ms", float, "a number"),
+    )
+    for lineno, row in lines[1:]:
+        for cell, (name, parse, kind) in zip(row.split(","), columns):
+            try:
+                parse(cell)
+            except ValueError:
+                return ValueError(f"line {lineno}: {name} must be {kind}, got {cell!r}")
+    return None
 
 
 def _read_only(data, dtype) -> np.ndarray:

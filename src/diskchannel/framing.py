@@ -16,16 +16,16 @@ Frame layout::
 The public functions, the receiver's symbol_sync and frame_sync among them,
 take any iterable of 0/1 or ``bytes`` of one bit per byte. Each validates
 its input once, with ``bits.as_bit_bytes``, and then works on such bytes:
-markers are found with ``bytes.find``, the preamble's alternating tail and
-the bit after every full run with regular expressions, and stuffing runs
-eight bits at a time through a precomputed table.
+markers are found with ``bytes.find``, the preamble's alternating tail with
+a regular expression, and stuffing and destuffing both run eight bits at a
+time through precomputed tables, one per run state of the stuffed stream.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import product
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .bits import Bits, as_bit_bytes
 from .errors import MalformedStuffing, NoEndMarker, NoStartMarker, SyncNotFound
@@ -44,74 +44,101 @@ _SYNC_BYTES = bytes(SYMBOL_SYNC)
 _START_BYTES = bytes(START_MARKER)
 _END_BYTES = bytes(END_MARKER)
 
-_FULL_RUNS = frozenset(bytes([bit]) * RUN_LIMIT for bit in (0, 1))
-_OVERLONG_RUN = re.compile(rb"\x00{%d}|\x01{%d}" % (RUN_LIMIT + 1, RUN_LIMIT + 1))
-_BIT_AFTER_FULL_RUN = re.compile(
-    rb"(?<=\x00{%d}|\x01{%d})." % (RUN_LIMIT, RUN_LIMIT), re.DOTALL
-)
 # Greedy, so a match starts a maximal alternating run and ends with it.
 _ALTERNATING_RUN = re.compile(
     rb"(?:\x00(?=\x01)|\x01(?=\x00)){%d,}[\x00\x01]" % (MIN_SYNC_RUN - 1)
 )
 
-# The stuffer's state between bits is the last output bit and the length
-# of its run so far, or (-1, 0) before the first bit. Each state has a table
-# that maps a chunk of 1..8 payload bits to its stuffed output and to the
-# table of the state after it.
-_StuffTable = dict[bytes, tuple[bytes, "_StuffTable"]]
-_STUFF_CHUNK = 8
+# Stuffing and destuffing are both transducers whose state between bits is
+# the last bit of the stuffed stream and the length of its run so far, or
+# (-1, 0) before the first bit. Each state has a table that maps a chunk of
+# 1..8 input bits to its output, the offset in the chunk of the bit that
+# made a run too long (None if none did; only destuffing has such bits), and
+# the table of the state after the chunk.
+_State = tuple[int, int]
+_Table = dict[bytes, tuple[bytes, "int | None", "_Table"]]
+_CHUNK = 8
 
 
-def _stuff_chunk(chunk: bytes, run_bit: int, run_len: int) -> tuple[bytes, int, int]:
-    """Stuff one chunk bit by bit from a given run state; fills the tables."""
-    out = bytearray()
-    for bit in chunk:
-        out.append(bit)
-        if bit == run_bit:
-            run_len += 1
-        else:
-            run_bit, run_len = bit, 1
-        if run_len == RUN_LIMIT:
-            out.append(1 - bit)
-            run_bit, run_len = 1 - bit, 1
-    return bytes(out), run_bit, run_len
+def _stuff_bit(bit: int, run_bit: int, run_len: int) -> tuple[bytes, _State]:
+    """Emit the bit, and the complement after it when it fills a run."""
+    run_len = run_len + 1 if bit == run_bit else 1
+    if run_len == RUN_LIMIT:
+        return bytes((bit, 1 - bit)), (1 - bit, 1)
+    return bytes((bit,)), (bit, run_len)
 
 
-def _stuff_tables() -> _StuffTable:
-    """The table of the start state, linked to those of all other states."""
-    states = [(-1, 0)] + [(b, n) for b in (0, 1) for n in range(1, RUN_LIMIT)]
-    tables: dict[tuple[int, int], _StuffTable] = {s: {} for s in states}
-    for size in range(1, _STUFF_CHUNK + 1):
+def _destuff_bit(bit: int, run_bit: int, run_len: int) -> tuple[bytes, _State] | None:
+    """Drop the complement after a full run; None if the bit extends the run."""
+    if run_len == RUN_LIMIT:
+        return None if bit == run_bit else (b"", (bit, 1))
+    run_len = run_len + 1 if bit == run_bit else 1
+    return bytes((bit,)), (bit, run_len)
+
+
+def _tables(
+    step: Callable[[int, int, int], tuple[bytes, _State] | None], max_run: int
+) -> dict[_State, _Table]:
+    """The table of every state with runs up to max_run, linked together.
+
+    step gives one bit's output and next state from a state, or None if the
+    bit makes a run too long. Each entry extends the entry of its chunk
+    minus the last bit by one step; past an overlong bit the entry stays
+    that of its prefix.
+    """
+    states = [(-1, 0)] + [(b, n) for b in (0, 1) for n in range(1, max_run + 1)]
+    moves = {(bit, s): step(bit, *s) for bit in (0, 1) for s in states}
+    entries: dict[_State, dict[bytes, tuple[bytes, int | None, _State]]] = {
+        s: {b"": (b"", None, s)} for s in states
+    }
+    for size in range(1, _CHUNK + 1):
         for chunk in map(bytes, product((0, 1), repeat=size)):
-            for state, table in tables.items():
-                out, run_bit, run_len = _stuff_chunk(chunk, *state)
-                table[chunk] = (out, tables[run_bit, run_len])
-    return tables[-1, 0]
+            prefix, bit = chunk[:-1], chunk[-1]
+            for state_entries in entries.values():
+                out, overlong, state = state_entries[prefix]
+                if overlong is None:
+                    move = moves[bit, state]
+                    if move is None:
+                        overlong = size - 1
+                    else:
+                        out, state = out + move[0], move[1]
+                state_entries[chunk] = (out, overlong, state)
+    tables: dict[_State, _Table] = {s: {} for s in states}
+    for s, state_entries in entries.items():
+        del state_entries[b""]
+        tables[s].update(
+            (chunk, (out, overlong, tables[state]))
+            for chunk, (out, overlong, state) in state_entries.items()
+        )
+    return tables
 
 
-_STUFF_START = _stuff_tables()
+_STUFF = _tables(_stuff_bit, RUN_LIMIT - 1)
+_DESTUFF = _tables(_destuff_bit, RUN_LIMIT)
+
+
+def _transduce(data: bytes, table: _Table) -> tuple[bytes, _Table]:
+    """Run data through the tables from table; the output and last table."""
+    parts = []
+    for i in range(0, len(data), _CHUNK):
+        out, overlong, table = table[data[i : i + _CHUNK]]
+        if overlong is not None:
+            raise MalformedStuffing(
+                f"run of {RUN_LIMIT + 1} identical bits at index {i + overlong}"
+            )
+        parts.append(out)
+    return b"".join(parts), table
 
 
 def _stuff(data: bytes) -> bytes:
-    table = _STUFF_START
-    parts = []
-    for i in range(0, len(data), _STUFF_CHUNK):
-        out, table = table[data[i : i + _STUFF_CHUNK]]
-        parts.append(out)
-    return b"".join(parts)
+    return _transduce(data, _STUFF[-1, 0])[0]
 
 
 def _destuff(data: bytes) -> bytes:
-    # Once no run is longer than RUN_LIMIT, every full run in the stream is
-    # a maximal one, and the bit after it is the stuffed complement.
-    overlong = _OVERLONG_RUN.search(data)
-    if overlong is not None:
-        raise MalformedStuffing(
-            f"run of {RUN_LIMIT + 1} identical bits at index {overlong.start() + RUN_LIMIT}"
-        )
-    if data[-RUN_LIMIT:] in _FULL_RUNS:
+    out, end = _transduce(data, _DESTUFF[-1, 0])
+    if end is _DESTUFF[0, RUN_LIMIT] or end is _DESTUFF[1, RUN_LIMIT]:
         raise MalformedStuffing("stream ends immediately after a full run")
-    return _BIT_AFTER_FULL_RUN.sub(b"", data)
+    return out
 
 
 def stuff_bits(payload: Iterable[int]) -> Bits:

@@ -100,12 +100,15 @@ class AccessSchedule:
             if line.startswith("#"):
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] in ("total_duration_ms", "bit_time_ms"):
-                    comments[parts[0]] = int(parts[1])
+                    comments[parts[0]] = _int_cell(lineno, *parts)
                 continue
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'accessor start end'")
-            accessor, start, end = (int(p) for p in parts)
+            accessor, start, end = (
+                _int_cell(lineno, name, cell)
+                for name, cell in zip(("accessor", "start", "end"), parts)
+            )
             per_accessor.setdefault(accessor, []).append((start, end))
         if not per_accessor:
             raise ValueError("schedule text contains no intervals")
@@ -127,6 +130,16 @@ class AccessSchedule:
         if bit_time < 0:
             raise ValueError(f"bit_time_ms must be >= 0, got {bit_time}")
         return cls(tuple(first), len(per_accessor), total, bit_time)
+
+
+def _int_cell(lineno: int, name: str, cell: str) -> int:
+    """A schedule text cell as an int; a ValueError names its line otherwise."""
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: {name} must be an integer, got {cell!r}"
+        ) from None
 
 
 def encode_tcv(message: Iterable[int], bit_time_ms: int) -> TimeChangeVector:

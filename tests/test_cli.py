@@ -176,6 +176,29 @@ def test_simulate_zero_probe_interval_names_the_flag(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("line, error", [
+    ("0 0 9O0", "line 3: end must be an integer, got '9O0'"),
+    ("x 0 900", "line 3: accessor must be an integer, got 'x'"),
+    ("# total_duration_ms 1O00", "line 3: total_duration_ms must be an integer, got '1O00'"),
+    ("# bit_time_ms 5.0", "line 3: bit_time_ms must be an integer, got '5.0'"),
+])
+def test_schedule_cell_errors_name_the_line(capsys, tmp_path, line, error):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("# total_duration_ms 1000\n\n" + line + "\n0 0 900\n")
+    assert run(capsys, "simulate", str(schedule), *PRI) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("row, error", [
+    ("1O,10.0", "line 5: window_start_ms must be an integer, got '1O'"),
+    ("200,1O.0", "line 5: avg_access_time_ms must be a number, got '1O.0'"),
+])
+def test_trace_cell_errors_name_the_line(capsys, tmp_path, row, error):
+    trace = tmp_path / "trace.csv"
+    rows = ["0,10.0", "100,10.0", "", row, "300,10.0", "400,1e3O"]
+    trace.write_text("window_start_ms,avg_access_time_ms\n" + "\n".join(rows) + "\n")
+    assert run(capsys, "decode", str(trace), *BT, *PRI) == (2, "", f"error: {error}\n")
+
+
 def test_decode_rejects_trace_with_other_window_spacing(capsys, tmp_path):
     schedule = tmp_path / "schedule.txt"
     trace = tmp_path / "trace.csv"

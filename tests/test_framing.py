@@ -91,6 +91,21 @@ def test_codec_matches_per_bit_loops_exhaustive():
             assert _outcome(destuff_bits, bits) == _outcome(destuff_loop, list(bits))
 
 
+def test_destuff_matches_per_bit_loop_on_corrupted_streams():
+    # One flipped bit anywhere in a long stuffed payload, so that errors are
+    # raised, and indices named, far past the first eight-bit chunk.
+    rng = random.Random(13)
+    raised = 0
+    for _ in range(1000):
+        stuffed = list(stuff_bits(rng.choices((0, 1), k=rng.randint(0, 600))))
+        if stuffed:
+            stuffed[rng.randrange(len(stuffed))] ^= 1
+        want = _outcome(destuff_loop, stuffed)
+        assert _outcome(destuff_bits, stuffed) == want
+        raised += isinstance(want, tuple) and want[:1] == ("MalformedStuffing",)
+    assert raised > 100
+
+
 def test_destuff_names_the_bit_that_breaks_the_run():
     with pytest.raises(MalformedStuffing, match="run of 4 identical bits at index 6"):
         destuff_bits((1, 0, 0, 1, 1, 1, 1, 1))

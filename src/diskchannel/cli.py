@@ -169,7 +169,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    convert = float if args.axis == "th" else int
+    convert = FLAGS[args.axis][1]["type"]
     try:
         values = [convert(v) for v in args.values.split(",") if v.strip()]
     except ValueError:

@@ -89,7 +89,8 @@ class AccessSchedule:
 
         Without the total_duration_ms comment the total falls back to the
         last interval end, losing any trailing idle tail. Without the
-        bit_time_ms comment, as in older files, the bit time is 0.
+        bit_time_ms comment, as in older files, the bit time is 0. Either
+        comment must hold exactly one integer; other comments are skipped.
         """
         per_accessor: dict[int, list[tuple[int, int]]] = {}
         comments: dict[str, int] = {}
@@ -98,9 +99,14 @@ class AccessSchedule:
             if not line:
                 continue
             if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] in ("total_duration_ms", "bit_time_ms"):
-                    comments[parts[0]] = _int_cell(lineno, *parts)
+                name, *values = line[1:].split() or [""]
+                if name in ("total_duration_ms", "bit_time_ms"):
+                    if len(values) != 1:
+                        got = " ".join(values)
+                        raise ValueError(
+                            f"line {lineno}: {name} takes one integer, got {got!r}"
+                        )
+                    comments[name] = _int_cell(lineno, name, *values)
                 continue
             parts = line.split()
             if len(parts) != 3:

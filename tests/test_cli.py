@@ -158,6 +158,13 @@ def test_zero_probe_interval_exit_two(capsys, argv):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("axis, values", [("n", "2,2.5"), ("th", "0.9,x")])
+def test_sweep_values_take_the_type_of_the_axis_flag(capsys, axis, values):
+    assert run(capsys, "sweep", "--axis", axis, "--values", values, *BT, *PRI) == (
+        2, "", f"error: --values must be comma-separated numbers: {values!r}\n"
+    )
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["probe", "--pri", "0", "--duration", "1000"], "--pri"),
     (["sweep", "--axis", "pri", "--values", "200,0", "--bt", "1000", "--pri", "200",
@@ -181,6 +188,9 @@ def test_simulate_zero_probe_interval_names_the_flag(capsys, tmp_path):
     ("x 0 900", "line 3: accessor must be an integer, got 'x'"),
     ("# total_duration_ms 1O00", "line 3: total_duration_ms must be an integer, got '1O00'"),
     ("# bit_time_ms 5.0", "line 3: bit_time_ms must be an integer, got '5.0'"),
+    ("# total_duration_ms 5000 ms",
+     "line 3: total_duration_ms takes one integer, got '5000 ms'"),
+    ("# bit_time_ms", "line 3: bit_time_ms takes one integer, got ''"),
 ])
 def test_schedule_cell_errors_name_the_line(capsys, tmp_path, line, error):
     schedule = tmp_path / "schedule.txt"

@@ -134,6 +134,28 @@ def test_run_ber_on_one_cpu_starts_no_thread(monkeypatch):
     assert experiment._pool is None
 
 
+@pytest.mark.skipif(
+    experiment._cpu_count() < 2, reason="the pool runs trials only with 2+ CPUs"
+)
+def test_a_failed_trial_raises_after_every_other_trial_ended(monkeypatch):
+    finished = []
+    threads = set()
+
+    def decode_trial(transmission, seed, payload):
+        threads.add(threading.current_thread().name)
+        if seed == 1:
+            raise RuntimeError("trial 1 failed")
+        time.sleep(0.05)
+        finished.append(seed)
+        return 0, None
+
+    monkeypatch.setattr(experiment, "_decode_trial", decode_trial)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_ber(fast_spec(n_trials=5))
+    assert sorted(finished) == [0, 2, 3, 4]
+    assert all(name.startswith("diskchannel-trial") for name in threads)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_run_ber_in_a_child_forked_after_the_pool_ran():
     spec = fast_spec(n_trials=3, disk=DiskModel.preset("moderate"))

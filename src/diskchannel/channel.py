@@ -222,26 +222,54 @@ class ContentionTrace:
 
     @classmethod
     def from_csv(cls, text: str) -> "ContentionTrace":
-        """Parse to_csv's output; the window spacing is the probe interval."""
+        """Parse to_csv's output; the window spacing is the probe interval.
+
+        Blank lines are skipped and cells may have whitespace around them;
+        a cell that is not a number names its line. numpy's loadtxt reads
+        the rows in one pass. It accepts only cells that int() and float()
+        accept, save that it takes \\x1f for whitespace (so text holding
+        one skips it), and it rounds as they do. Rows it refuses go through
+        _trace_columns, which accepts the rest and names the first fault.
+        """
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or lines[0] != "window_start_ms,avg_access_time_ms":
             raise ValueError("missing trace CSV header")
         rows = lines[1:]
-        if set(map(str.count, rows, repeat(","))) - {1}:
-            row = next(row for row in rows if row.count(",") != 1)
-            raise ValueError(f"trace row {row!r} does not hold two cells")
-        if len(rows) < 2:
-            raise ValueError("trace needs at least two windows")
-        cells = ",".join(rows).split(",")  # start, value, start, value, ...
-        try:
-            values = np.array(cells[1::2], dtype=np.float64)
-            starts = np.array(cells[0::2], dtype=np.int64)
-        except OverflowError:
-            raise ValueError("a window start does not fit in 64 bits") from None
-        except ValueError as exc:
-            raise _bad_trace_cell(text) or exc from None
-        starts.flags.writeable = values.flags.writeable = False  # handed over
+        table = None
+        if len(rows) >= 2 and "\x1f" not in text:  # loadtxt warns on no rows
+            try:
+                table = np.loadtxt(
+                    rows, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1
+                )
+            except ValueError:
+                pass
+        if table is None:
+            starts, values = _trace_columns(rows, text)
+        else:
+            starts, values = table["start"], table["value"]
         return cls(int(starts[1] - starts[0]), starts, values)
+
+
+_CSV_ROW = np.dtype([("start", np.int64), ("value", np.float64)])
+
+
+def _trace_columns(rows: list[str], text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and values of the data rows, cell by cell, or the first fault."""
+    if set(map(str.count, rows, repeat(","))) - {1}:
+        row = next(row for row in rows if row.count(",") != 1)
+        raise ValueError(f"trace row {row!r} does not hold two cells")
+    if len(rows) < 2:
+        raise ValueError("trace needs at least two windows")
+    cells = ",".join(rows).split(",")  # start, value, start, value, ...
+    try:
+        values = np.array(cells[1::2], dtype=np.float64)
+        starts = np.array(cells[0::2], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a window start does not fit in 64 bits") from None
+    except ValueError as exc:
+        raise _bad_trace_cell(text) or exc from None
+    starts.flags.writeable = values.flags.writeable = False  # handed over
+    return starts, values
 
 
 def _bad_trace_cell(text: str) -> ValueError | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -89,32 +90,34 @@ def _disk_and_interferer(
     return disk, interferer
 
 
-def _probe_interval(value: int, flag: str) -> int:
-    """A probe interval given on the command line; a bad one names its flag."""
+def _positive_ms(value: int, flag: str) -> int:
+    """A span of ms given on the command line; a bad one names its flag."""
     if value < 1:
         raise WindowMismatch(f"{flag} must be >= 1, got {value}")
     return value
 
 
 def _channel_params(args: argparse.Namespace) -> ChannelParams:
-    return ChannelParams(args.bt, _probe_interval(args.pri, "--pri"), args.n, args.th)
+    bt, pri = _positive_ms(args.bt, "--bt"), _positive_ms(args.pri, "--pri")
+    return ChannelParams(bt, pri, args.n, args.th)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    sender = SenderConfig(args.bt, args.n, args.th)
+    sender = SenderConfig(_positive_ms(args.bt, "--bt"), args.n, args.th)
     schedule = payload_schedule(_message_bits(args), sender)
     _write_output(schedule.to_text(), args.output)
     return 0
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    bit_time_ms = _positive_ms(args.bt, "--bt")
     trace = ContentionTrace.from_csv(_read_input(args.trace))
     if trace.probe_interval_ms != args.pri:
         raise WindowMismatch(
             f"trace windows are {trace.probe_interval_ms} ms apart, "
             f"not --pri {args.pri}"
         )
-    payload = decode_message(trace, DecoderConfig(args.bt, args.pri))
+    payload = decode_message(trace, DecoderConfig(bit_time_ms, args.pri))
     try:
         text = bits_to_text(payload) if args.text else bits_to_string(payload)
     except ValueError as exc:  # not whole UTF-8 bytes: the channel garbled them
@@ -126,9 +129,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = AccessSchedule.from_text(_read_input(args.schedule))
     disk, interferer = _disk_and_interferer(args)
-    pri = _probe_interval(args.pri, "--pri")
+    pri = _positive_ms(args.pri, "--pri")
     lead_in, run_ms = run_length(schedule, pri, args.lead_in)
-    run_ms = run_ms if args.duration is None else args.duration
+    if args.duration is not None:
+        run_ms = _positive_ms(args.duration, "--duration")
     trace = simulate(schedule, disk, interferer, pri, run_ms, lead_in, args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0
@@ -176,9 +180,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--values must be comma-separated numbers: {args.values!r}")
     if not values:
         raise ValueError("--values is empty")
-    if args.axis == "pri":
+    if args.axis in ("bt", "pri"):
         for value in values:
-            _probe_interval(value, "--values of --axis pri")
+            _positive_ms(value, f"--values of --axis {args.axis}")
     reports = sweep(_spec_from_args(args), AXIS_MAP[args.axis], values)
     _write_output(reports_to_csv(reports), args.output)
     return 0
@@ -193,8 +197,9 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     disk, interferer = _disk_and_interferer(args)
     idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
-    duration = whole_windows(args.duration, _probe_interval(args.pri, "--pri"))
-    trace = simulate(idle, disk, interferer, args.pri, duration, seed=args.seed)
+    pri = _positive_ms(args.pri, "--pri")
+    duration = whole_windows(_positive_ms(args.duration, "--duration"), pri)
+    trace = simulate(idle, disk, interferer, pri, duration, seed=args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0
 
@@ -252,7 +257,13 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str, **defaults) -> None
         parser.add_argument(*option_strings, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    parse_args leaves a parser as it was and returns a fresh namespace, so
+    main() reuses it; build_parser.__wrapped__() builds a new one.
+    """
     parser = argparse.ArgumentParser(
         prog="diskchannel",
         description="covert timing channel over shared disk contention",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 from scipy.signal import lfilter
@@ -207,6 +208,49 @@ def destuff_loop(stuffed: list[int]) -> tuple[int, ...]:
     if drop_next:
         raise MalformedStuffing("stream ends immediately after a full run")
     return tuple(out)
+
+
+def trace_csv_loop(text: str) -> ContentionTrace:
+    """ContentionTrace.from_csv as it was before the one-pass reader.
+
+    A per-row comma count, then the cells of all rows in two numpy
+    conversions; a cell they refuse is named by its line.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or lines[0] != "window_start_ms,avg_access_time_ms":
+        raise ValueError("missing trace CSV header")
+    rows = lines[1:]
+    if set(map(str.count, rows, repeat(","))) - {1}:
+        row = next(row for row in rows if row.count(",") != 1)
+        raise ValueError(f"trace row {row!r} does not hold two cells")
+    if len(rows) < 2:
+        raise ValueError("trace needs at least two windows")
+    cells = ",".join(rows).split(",")  # start, value, start, value, ...
+    try:
+        values = np.array(cells[1::2], dtype=np.float64)
+        starts = np.array(cells[0::2], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a window start does not fit in 64 bits") from None
+    except ValueError as exc:
+        raise _bad_trace_cell_loop(text) or exc from None
+    starts.flags.writeable = values.flags.writeable = False  # handed over
+    return ContentionTrace(int(starts[1] - starts[0]), starts, values)
+
+
+def _bad_trace_cell_loop(text: str) -> ValueError | None:
+    """The error naming the first data line with a cell that is not a number."""
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    columns = (
+        ("window_start_ms", int, "an integer"),
+        ("avg_access_time_ms", float, "a number"),
+    )
+    for lineno, row in lines[1:]:
+        for cell, (name, parse, kind) in zip(row.split(","), columns):
+            try:
+                parse(cell)
+            except ValueError:
+                return ValueError(f"line {lineno}: {name} must be {kind}, got {cell!r}")
+    return None
 
 
 def symbol_sync_loop(bits: list[int]) -> int:

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskchannel import (
     NOISE_PRESETS,
@@ -24,7 +24,7 @@ from diskchannel.channel import (
     noiseless_raw_trace,
     overlay_noise,
 )
-from oracles import noiseless_trace_loop, overlay_noise_whole
+from oracles import noiseless_trace_loop, overlay_noise_whole, trace_csv_loop
 
 
 def make_schedule(bits, bit_time=100, n=5, th=0.9):
@@ -347,6 +347,85 @@ def test_trace_csv_rejects_non_finite_values(value):
     csv = f"window_start_ms,avg_access_time_ms\n0,10.0\n100,{value}\n200,10.0\n"
     with pytest.raises(ValueError, match="not finite"):
         ContentionTrace.from_csv(csv)
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                                  "\u0664\u0665\u0666\u0667\u0668\u0669")
+# Edits to one cell of a to_csv() row: each is text that int(), float() or
+# numpy's loadtxt reads differently, or that none of them reads.
+CELL_EDITS = {
+    "spaces": lambda c: f" {c}\t",
+    "no_break_space": lambda c: "\xa0" + c,
+    "unit_separator": lambda c: c + "\x1f",
+    "plus": lambda c: "+" + c,
+    "minus": lambda c: "-" + c,
+    "exponent": lambda c: c + "e2",
+    "point": lambda c: c + ".0",
+    "digit": lambda c: c + "7",
+    "underscore": lambda c: c[:1] + "_" + c[1:],
+    "arabic_digits": lambda c: c.translate(ARABIC_INDIC_DIGITS),
+    "nan": lambda c: "nan",
+    "inf": lambda c: "-Infinity",
+    "twenty_digits": lambda c: "9" * 20,
+    "extra_comma": lambda c: c + ",",
+    "nul": lambda c: c + "\x00",
+    "empty": lambda c: "",
+}
+# Every str.splitlines separator that a CSV writer might plausibly emit.
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"]
+HEADER = "window_start_ms,avg_access_time_ms\n"
+
+
+@st.composite
+def trace_csv_texts(draw):
+    """A to_csv() text of 1 to 5 rows, then cell, row and line edits."""
+    size = draw(st.integers(1, 5))
+    first, pri = draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 500))
+    values = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size
+    ))
+    starts = [first + pri * i for i in range(size)]
+    lines = ContentionTrace(pri, starts, values).to_csv().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for _ in range(draw(st.integers(0, 3))):
+        row, column = draw(st.sampled_from(rows)), draw(st.integers(0, 1))
+        row[column] = CELL_EDITS[draw(st.sampled_from(sorted(CELL_EDITS)))](row[column])
+    if size > 1 and draw(st.booleans()):  # starts that fall or repeat
+        i = draw(st.integers(1, size - 1))
+        rows[i - 1][0], rows[i][0] = rows[i][0], rows[i - 1][0]
+    commas = [","] * size
+    missing = draw(st.sampled_from([","] * 4 + ["", " "]))  # mostly none missing
+    commas[draw(st.integers(0, size - 1))] = missing
+    lines[1:] = [comma.join(row) for comma, row in zip(commas, rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        blank = draw(st.sampled_from(["", " ", "\t", "\x1f", " \u3000 "]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        lines.remove("window_start_ms,avg_access_time_ms")
+    end = draw(st.sampled_from(LINE_ENDS))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _parse_outcome(parse, text):
+    """The trace that parse reads from text, or the ValueError message it raises."""
+    try:
+        trace = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    starts, values = trace.window_starts_ms.tolist(), trace.values_ms.tobytes()
+    return trace.probe_interval_ms, starts, values
+
+
+@settings(max_examples=400, deadline=None)
+@given(trace_csv_texts())
+@example(HEADER + "0,1.0\x1f\n100,2.0\n")  # loadtxt strips \x1f; float() does not
+@example(HEADER + "1_0,1.0\n11_0,2.0\n")  # int() reads what loadtxt refuses
+@example(HEADER + "\u0660,\u0661.5\n100,2.0\n")
+@example(HEADER + "0,1.0\n" + "9" * 20 + ",2.0\n")
+def test_trace_csv_reader_matches_the_cell_by_cell_reader(text):
+    assert _parse_outcome(ContentionTrace.from_csv, text) == _parse_outcome(
+        trace_csv_loop, text
+    )
 
 
 def test_noise_presets():

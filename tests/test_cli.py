@@ -175,6 +175,34 @@ def test_zero_probe_interval_names_the_flag(capsys, argv, flag):
     assert run(capsys, *argv) == (2, "", f"error: {flag} must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["encode", "--bits", "1011", "--bt", "0"], "--bt"),
+    (["transmit", "--bits", "1011", "--bt", "0", *PRI], "--bt"),
+    (["decode", "TRACE", "--bt", "0", *PRI], "--bt"),
+    (["sweep", "--axis", "n", "--values", "2", "--bt", "0", *PRI, "--trials", "1"],
+     "--bt"),
+    (["sweep", "--axis", "bt", "--values", "500,0", *BT, *PRI, "--trials", "1"],
+     "--values of --axis bt"),
+    (["robustness", "--bt", "0", "--trials", "1"], "--bt"),
+], ids=["encode", "transmit", "decode", "sweep", "sweep_axis", "robustness"])
+def test_zero_bit_time_names_the_flag(capsys, tmp_path, argv, flag):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("window_start_ms,avg_access_time_ms\n0,10.0\n100,10.0\n")
+    argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {flag} must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("duration", ["0", "-5"])
+@pytest.mark.parametrize("command", ["probe", "simulate"])
+def test_duration_below_one_names_the_flag(capsys, tmp_path, command, duration):
+    schedule = tmp_path / "schedule.txt"
+    run(capsys, "encode", "--bits", "1011", "--bt", "1000", "--output", str(schedule))
+    argv = [command, *([str(schedule)] if command == "simulate" else [])]
+    assert run(capsys, *argv, "--pri", "10", "--duration", duration) == (
+        2, "", f"error: --duration must be >= 1, got {duration}\n"
+    )
+
+
 def test_simulate_zero_probe_interval_names_the_flag(capsys, tmp_path):
     schedule = tmp_path / "schedule.txt"
     run(capsys, "encode", "--bits", "1011", "--bt", "1000", "--output", str(schedule))
@@ -397,6 +425,26 @@ def test_subcommand_flag_surface(command):
         # each scenario picks its interferer; no flag sets it
         assert parsed.pop("interferer", None) is None
     assert list(parsed.items()) == [("command", command), *expected.items()]
+
+
+def test_main_reuses_its_parser_without_leaking_values(capsys, tmp_path, monkeypatch):
+    # Each command after the first runs on the parser the one before it used;
+    # a value that leaked into it would change the second command's output.
+    schedule = tmp_path / "schedule.txt"
+    run(capsys, "encode", "--bits", "1011", *BT, "--output", str(schedule))
+    commands = [
+        ["simulate", str(schedule), *PRI, "--duration", "20000", "--seed", "3",
+         "--noise", "harsh"],
+        ["simulate", str(schedule), *PRI],
+        ["robustness", "--trials", "1"],
+        ["sweep", "--axis", "n", "--values", "2", *BT, *PRI],
+    ]
+    reused = [run(capsys, *argv)[:2] for argv in commands]
+    assert build_parser() is build_parser()
+    monkeypatch.setattr("diskchannel.cli.build_parser", build_parser.__wrapped__)
+    fresh = [run(capsys, *argv)[:2] for argv in commands]
+    assert reused == fresh
+    assert [code for code, _ in fresh] == [0, 0, 0, 0]
 
 
 def test_robustness_rejects_interferer(capsys):

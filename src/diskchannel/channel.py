@@ -27,6 +27,7 @@ deterministic per seed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -228,8 +229,11 @@ class ContentionTrace:
         a cell that is not a number names its line. numpy's loadtxt reads
         the rows in one pass. It accepts only cells that int() and float()
         accept, save that it takes \\x1f for whitespace (so text holding
-        one skips it), and it rounds as they do. Rows it refuses go through
-        _trace_columns, which accepts the rest and names the first fault.
+        one skips it), and it rounds as they do. numpy 1.x also reads an
+        integer field like '100.9' through a float, with a
+        DeprecationWarning; raised as an error, it refuses the rows. Rows
+        it refuses go through _trace_columns, which accepts the rest and
+        names the first fault.
         """
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or lines[0] != "window_start_ms,avg_access_time_ms":
@@ -238,16 +242,20 @@ class ContentionTrace:
         table = None
         if len(rows) >= 2 and "\x1f" not in text:  # loadtxt warns on no rows
             try:
-                table = np.loadtxt(
-                    rows, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1
-                )
-            except ValueError:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    table = np.loadtxt(
+                        rows, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1
+                    )
+            except (ValueError, DeprecationWarning):
                 pass
         if table is None:
             starts, values = _trace_columns(rows, text)
         else:
+            table.flags.writeable = False  # its columns are handed over
             starts, values = table["start"], table["value"]
-        return cls(int(starts[1] - starts[0]), starts, values)
+        step = int(starts[1]) - int(starts[0])  # in Python: it may not fit in int64
+        return cls(step, starts, values)
 
 
 _CSV_ROW = np.dtype([("start", np.int64), ("value", np.float64)])

@@ -262,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process.
 
     parse_args leaves a parser as it was and returns a fresh namespace, so
-    main() reuses it; build_parser.__wrapped__() builds a new one.
+    main() reuses it; build_parser.__wrapped__() builds a new one. That
+    saves time only where one process calls main() more than once (tests,
+    the benchmark's in-process loop); a shell pipeline builds it once per
+    command either way.
     """
     parser = argparse.ArgumentParser(
         prog="diskchannel",

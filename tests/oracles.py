@@ -25,7 +25,7 @@ from diskchannel import (
     MalformedStuffing,
     SyncNotFound,
 )
-from diskchannel.channel import CLAMP_FRACTION
+from diskchannel.channel import CLAMP_FRACTION, _bad_trace_cell
 from diskchannel.framing import MIN_SYNC_RUN
 from diskchannel.receiver import VARIANCE_EPSILON
 
@@ -232,25 +232,9 @@ def trace_csv_loop(text: str) -> ContentionTrace:
     except OverflowError:
         raise ValueError("a window start does not fit in 64 bits") from None
     except ValueError as exc:
-        raise _bad_trace_cell_loop(text) or exc from None
+        raise _bad_trace_cell(text) or exc from None
     starts.flags.writeable = values.flags.writeable = False  # handed over
     return ContentionTrace(int(starts[1] - starts[0]), starts, values)
-
-
-def _bad_trace_cell_loop(text: str) -> ValueError | None:
-    """The error naming the first data line with a cell that is not a number."""
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-    columns = (
-        ("window_start_ms", int, "an integer"),
-        ("avg_access_time_ms", float, "a number"),
-    )
-    for lineno, row in lines[1:]:
-        for cell, (name, parse, kind) in zip(row.split(","), columns):
-            try:
-                parse(cell)
-            except ValueError:
-                return ValueError(f"line {lineno}: {name} must be {kind}, got {cell!r}")
-    return None
 
 
 def symbol_sync_loop(bits: list[int]) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,13 @@ def test_trace_csv_rejects_rows_without_two_cells(rows):
         ContentionTrace.from_csv(csv)
 
 
+def test_trace_csv_spacing_beyond_64_bits_is_a_value_error():
+    low, high = -(2**63), 2**63 - 1
+    csv = f"window_start_ms,avg_access_time_ms\n{low},10.0\n{high},10.0\n"
+    with pytest.raises(ValueError, match="do not rise"):
+        ContentionTrace.from_csv(csv)
+
+
 def test_trace_csv_rejects_window_start_beyond_64_bits():
     csv = "window_start_ms,avg_access_time_ms\n0,10.0\n100,10.0\n" + "9" * 20 + ",1.0\n"
     with pytest.raises(ValueError, match="64 bits"):
@@ -422,10 +430,29 @@ def _parse_outcome(parse, text):
 @example(HEADER + "1_0,1.0\n11_0,2.0\n")  # int() reads what loadtxt refuses
 @example(HEADER + "\u0660,\u0661.5\n100,2.0\n")
 @example(HEADER + "0,1.0\n" + "9" * 20 + ",2.0\n")
+@example(HEADER + "0.0,1.0\n100,2.0\n")  # older numpy reads these through a float
+@example(HEADER + "0,1.0\n100.9,2.0\n")
+@example(HEADER + "0,1.0\n1e2,2.0\n")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # as outside pytest
 def test_trace_csv_reader_matches_the_cell_by_cell_reader(text):
     assert _parse_outcome(ContentionTrace.from_csv, text) == _parse_outcome(
         trace_csv_loop, text
     )
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_trace_csv_refuses_a_start_that_loadtxt_reads_through_a_float(monkeypatch):
+    """Older numpy's loadtxt truncates '100.9' into an int64 field and only warns."""
+
+    def loadtxt(rows, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return np.array([(0, 1.0), (100, 2.0)], dtype=kwargs["dtype"])
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    with pytest.raises(ValueError) as error:
+        ContentionTrace.from_csv(HEADER + "0,1.0\n100.9,2.0\n")
+    assert str(error.value) == "line 3: window_start_ms must be an integer, got '100.9'"
 
 
 def test_noise_presets():

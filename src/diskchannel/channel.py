@@ -129,15 +129,8 @@ class InterfererProfile:
     def stress(cls) -> "InterfererProfile":
         return cls(kind="stress", load=10)
 
-    def active_accessors(self, t_ms: int) -> int:
-        if self.kind == "stress":
-            return self.load
-        if self.kind == "benchmark":
-            return self.load if (t_ms % self.period_ms) < self.burst_ms else 0
-        return 0
-
     def demand_per_ms(self, run_ms: int) -> np.ndarray:
-        """active_accessors for each ms of [0, run_ms), from demand_steps."""
+        """Background accessors for each ms of [0, run_ms), from demand_steps."""
         change = np.zeros(run_ms, dtype=np.int64)
         np.add.at(change, *self.demand_steps(run_ms))
         return np.cumsum(change)

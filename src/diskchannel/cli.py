@@ -90,27 +90,45 @@ def _disk_and_interferer(
     return disk, interferer
 
 
-def _positive_ms(value: int, flag: str) -> int:
-    """A span of ms given on the command line; a bad one names its flag."""
+def _positive(value: int, flag: str) -> int:
+    """A count or span of ms given on the command line; a bad one names its flag."""
     if value < 1:
-        raise WindowMismatch(f"{flag} must be >= 1, got {value}")
+        raise ValueError(f"{flag} must be >= 1, got {value}")
     return value
 
 
+def _fraction(value: float, flag: str) -> float:
+    """A fraction in (0, 1] given on the command line; a bad one names its flag."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{flag} must be in (0, 1], got {value}")
+    return value
+
+
+# How each flag that is a sweep axis is checked.
+AXIS_CHECKS = {"bt": _positive, "pri": _positive, "n": _positive, "th": _fraction}
+
+
+def _sender_args(args: argparse.Namespace) -> tuple[int, int, float]:
+    """--bt, --n and --th, each checked under its own name."""
+    return (
+        _positive(args.bt, "--bt"), _positive(args.n, "--n"), _fraction(args.th, "--th")
+    )
+
+
 def _channel_params(args: argparse.Namespace) -> ChannelParams:
-    bt, pri = _positive_ms(args.bt, "--bt"), _positive_ms(args.pri, "--pri")
-    return ChannelParams(bt, pri, args.n, args.th)
+    bt, n, th = _sender_args(args)
+    return ChannelParams(bt, _positive(args.pri, "--pri"), n, th)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    sender = SenderConfig(_positive_ms(args.bt, "--bt"), args.n, args.th)
+    sender = SenderConfig(*_sender_args(args))
     schedule = payload_schedule(_message_bits(args), sender)
     _write_output(schedule.to_text(), args.output)
     return 0
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    bit_time_ms = _positive_ms(args.bt, "--bt")
+    bit_time_ms = _positive(args.bt, "--bt")
     trace = ContentionTrace.from_csv(_read_input(args.trace))
     if trace.probe_interval_ms != args.pri:
         raise WindowMismatch(
@@ -129,10 +147,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = AccessSchedule.from_text(_read_input(args.schedule))
     disk, interferer = _disk_and_interferer(args)
-    pri = _positive_ms(args.pri, "--pri")
+    pri = _positive(args.pri, "--pri")
     lead_in, run_ms = run_length(schedule, pri, args.lead_in)
     if args.duration is not None:
-        run_ms = _positive_ms(args.duration, "--duration")
+        run_ms = _positive(args.duration, "--duration")
     trace = simulate(schedule, disk, interferer, pri, run_ms, lead_in, args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0
@@ -162,8 +180,8 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     disk, interferer = _disk_and_interferer(args)
     return ExperimentSpec(
         params=_channel_params(args),
-        payload_bits=args.payload_bits,
-        n_trials=args.trials,
+        payload_bits=_positive(args.payload_bits, "--payload-bits"),
+        n_trials=_positive(args.trials, "--trials"),
         base_seed=args.seed,
         payload_seed=args.payload_seed,
         disk=disk,
@@ -180,9 +198,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--values must be comma-separated numbers: {args.values!r}")
     if not values:
         raise ValueError("--values is empty")
-    if args.axis in ("bt", "pri"):
-        for value in values:
-            _positive_ms(value, f"--values of --axis {args.axis}")
+    for value in values:
+        AXIS_CHECKS[args.axis](value, f"--values of --axis {args.axis}")
     reports = sweep(_spec_from_args(args), AXIS_MAP[args.axis], values)
     _write_output(reports_to_csv(reports), args.output)
     return 0
@@ -197,8 +214,8 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     disk, interferer = _disk_and_interferer(args)
     idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
-    pri = _positive_ms(args.pri, "--pri")
-    duration = whole_windows(_positive_ms(args.duration, "--duration"), pri)
+    pri = _positive(args.pri, "--pri")
+    duration = whole_windows(_positive(args.duration, "--duration"), pri)
     trace = simulate(idle, disk, interferer, pri, duration, seed=args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0

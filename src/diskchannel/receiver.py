@@ -46,6 +46,9 @@ VARIANCE_EPSILON = 1e-7
 # Windows of idle baseline onset detection needs before it can trigger.
 ONSET_BASELINE_WINDOWS = 4
 
+# Windows in the first prefix the onset scan tests before it grows it.
+ONSET_PREFIX_WINDOWS = 1024
+
 # Upper bound on threshold correction rounds in decode_with_gab.
 MAX_GAB_ITERATIONS = 16
 
@@ -137,22 +140,35 @@ def detect_bit_start(trace: Sequence[float], config: DecoderConfig) -> int:
             f"got {values.size}"
         )
     # Centring keeps a large DC level out of the cumulative sums, whose
-    # rounding then stays near size * eps * var, far below tol.
+    # rounding then stays near size * eps * var, far below tol. Each array
+    # below is written into a preallocated buffer, with the arithmetic and
+    # order of the expression in its comment.
+    n = values.size
     x = values - values.mean()
-    s1 = np.concatenate(([0.0], np.cumsum(x)))
-    s2 = np.concatenate(([0.0], np.cumsum(x * x)))
-    means = (s1[spb:] - s1[:-spb]) / spb
-    variances = (s2[spb:] - s2[:-spb]) / spb - means * means
-    tol = VARIANCE_EPSILON * s2[-1] / values.size
+    s1 = np.empty(n + 1)  # [0, *cumsum(x)]
+    s1[0] = 0.0
+    np.cumsum(x, out=s1[1:])
+    s2 = np.empty(n + 1)  # [0, *cumsum(x * x)]
+    s2[0] = 0.0
+    np.cumsum(np.multiply(x, x, out=x), out=s2[1:])
+    tol = VARIANCE_EPSILON * s2[-1] / n
 
-    n_windows = values.size // spb
-    grid = np.full(n_windows * spb, np.inf)
-    grid[: variances.size] = variances
+    n_variances = n - spb + 1
+    # (s1[spb:] - s1[:-spb]) / spb, in x's buffer
+    means = np.subtract(s1[spb:], s1[:-spb], out=x[:n_variances])
+    means /= spb
+    # (s2[spb:] - s2[:-spb]) / spb - means * means, padded with inf to
+    # whole windows
+    n_windows = n // spb
+    grid = np.empty(n_windows * spb)
+    variances = np.subtract(s2[spb:], s2[:-spb], out=grid[:n_variances])
+    variances /= spb
+    variances -= np.multiply(means, means, out=means)
+    grid[n_variances:] = np.inf
     grid = grid.reshape(n_windows, spb)
     tied = grid <= grid.min(axis=1, keepdims=True) + tol
-    n_candidates = np.full(n_windows, spb)
-    n_candidates[-1] = variances.size - (n_windows - 1) * spb
-    contrast = tied.sum(axis=1) < n_candidates
+    tied[-1, n_variances - (n_windows - 1) * spb :] = True  # padding never breaks a tie
+    contrast = ~tied.all(axis=1)
     if not contrast.any():
         raise AmbiguousPhase(
             "no sampling offset shows a variance contrast above "
@@ -241,20 +257,52 @@ def find_transmission_onset(values: Sequence[float]) -> int:
     against the mean and sigma of all windows before it. Returning 0 when
     nothing triggers keeps short or already-hot traces usable; phase 1's
     modal vote absorbs a bit of leading idle anyway.
+
+    The scan stops at the first window that fires. It tests the first
+    ONSET_PREFIX_WINDOWS windows, then blocks that take the tested prefix
+    to four times its length, and the rest of the trace at once when
+    that prefix would reach a quarter of it. Each block continues the
+    running sums from the last sum of the block before; a cumulative sum
+    is a sequential accumulate, so they equal the whole trace's sums bit
+    for bit, and a trace where nothing fires costs one pass plus a few
+    calls per block.
     """
     v = np.asarray(values, dtype=np.float64)
     first = ONSET_BASELINE_WINDOWS
     if v.size <= first:
         return 0
-    counts = np.arange(1, v.size + 1, dtype=np.float64)
-    means = np.cumsum(v) / counts
-    mean_sq = np.cumsum(v * v) / counts
-    stds = np.sqrt(np.maximum(mean_sq - means**2, 0.0))
-    thresholds = (means + 3.0 * stds)[first - 1 : -1]
-    hits = np.nonzero(v[first:] > thresholds + 1e-9)[0]
-    if hits.size == 0:
-        return 0
-    return int(hits[0]) + first
+    lo, hi = 0, ONSET_PREFIX_WINDOWS
+    while lo < v.size:
+        if 4 * hi >= v.size:
+            hi = v.size
+        # cumsum(v) and cumsum(v * v) over [start, hi), continued from the
+        # last sums of the block before.
+        start = max(lo - 1, 0)
+        block = v[start:hi]
+        s1, s2 = block.copy(), block * block
+        if lo:
+            s1[0], s2[0] = last
+        np.cumsum(s1, out=s1)
+        np.cumsum(s2, out=s2)
+        last = s1[-1], s2[-1]
+        # Window i is tested against the statistics of windows [0, i):
+        # means + 3 * sqrt(max(mean_sq - means**2, 0)) + 1e-9, in place.
+        lo = max(lo, first)
+        counts = np.arange(lo, hi, dtype=np.float64)
+        means = s1[lo - 1 - start : -1]
+        means /= counts
+        bound = s2[lo - 1 - start : -1]
+        bound /= counts  # mean_sq
+        bound -= np.square(means, out=counts)
+        np.sqrt(np.maximum(bound, 0.0, out=bound), out=bound)
+        bound *= 3.0
+        bound += means
+        bound += 1e-9
+        hits = np.nonzero(v[lo:hi] > bound)[0]
+        if hits.size:
+            return int(hits[0]) + lo
+        lo, hi = hi, 4 * hi
+    return 0
 
 
 def decode_message(trace: ContentionTrace, config: DecoderConfig) -> Bits:
@@ -273,7 +321,7 @@ def decode_message_with_diagnostics(
 ) -> tuple[Bits, DecodeDiagnostics]:
     """decode_message, also returning the artifacts of the phases that ran."""
     diag = DecodeDiagnostics()
-    values = trace.values()
+    values = trace.values_ms
 
     onset = _run_phase("onset detection", find_transmission_onset, values)
     diag.onset_window = onset

@@ -19,7 +19,9 @@ from scipy.signal import lfilter
 from diskchannel import (
     START_MARKER,
     AccessSchedule,
+    AmbiguousPhase,
     ContentionTrace,
+    DecoderConfig,
     DiskModel,
     InterfererProfile,
     MalformedStuffing,
@@ -27,7 +29,17 @@ from diskchannel import (
 )
 from diskchannel.channel import CLAMP_FRACTION, _bad_trace_cell
 from diskchannel.framing import MIN_SYNC_RUN
-from diskchannel.receiver import VARIANCE_EPSILON
+from diskchannel.receiver import ONSET_BASELINE_WINDOWS, VARIANCE_EPSILON
+
+
+def active_accessors(interferer: InterfererProfile, t_ms: int) -> int:
+    """Background accessors busy at millisecond t_ms, from the profile's rule."""
+    if interferer.kind == "stress":
+        return interferer.load
+    if interferer.kind == "benchmark":
+        in_burst = (t_ms % interferer.period_ms) < interferer.burst_ms
+        return interferer.load if in_burst else 0
+    return 0
 
 
 def served_load_loop(demand: list[int], capacity: int) -> list[float]:
@@ -51,7 +63,7 @@ def noiseless_trace_loop(
     lead_in_ms: int = 0,
 ) -> list[float]:
     """Per-window averaged latency with zero noise, straight from the model."""
-    demand = [interferer.active_accessors(t) for t in range(run_duration_ms)]
+    demand = [active_accessors(interferer, t) for t in range(run_duration_ms)]
     for start, end in schedule.intervals:
         for t in range(lead_in_ms + start, lead_in_ms + end):
             demand[t] += schedule.n_accessors
@@ -126,6 +138,66 @@ def bit_start_vote_loop(
         raise ValueError("no window shows a variance contrast")
     top = max(votes.values())
     return min(offset for offset, count in votes.items() if count == top)
+
+
+def bit_start_full_pass(trace, config: DecoderConfig) -> int:
+    """detect_bit_start as one pass of whole-trace numpy temporaries.
+
+    The receiver's previous detect_bit_start, kept verbatim: the fast one
+    writes the same arithmetic into preallocated buffers and must return
+    the same offset, or raise where this raises.
+    """
+    values = np.asarray(trace, dtype=np.float64)
+    spb = config.samples_per_bit
+    if values.size < 3 * spb:
+        raise ValueError(
+            f"need at least {3 * spb} samples for phase detection, "
+            f"got {values.size}"
+        )
+    x = values - values.mean()
+    s1 = np.concatenate(([0.0], np.cumsum(x)))
+    s2 = np.concatenate(([0.0], np.cumsum(x * x)))
+    means = (s1[spb:] - s1[:-spb]) / spb
+    variances = (s2[spb:] - s2[:-spb]) / spb - means * means
+    tol = VARIANCE_EPSILON * s2[-1] / values.size
+
+    n_windows = values.size // spb
+    grid = np.full(n_windows * spb, np.inf)
+    grid[: variances.size] = variances
+    grid = grid.reshape(n_windows, spb)
+    tied = grid <= grid.min(axis=1, keepdims=True) + tol
+    n_candidates = np.full(n_windows, spb)
+    n_candidates[-1] = variances.size - (n_windows - 1) * spb
+    contrast = tied.sum(axis=1) < n_candidates
+    if not contrast.any():
+        raise AmbiguousPhase(
+            "no sampling offset shows a variance contrast above "
+            f"{VARIANCE_EPSILON} of the trace variance"
+        )
+    votes = tied.argmax(axis=1)[contrast]
+    return int(np.argmax(np.bincount(votes, minlength=spb)))
+
+
+def onset_full_pass(values) -> int:
+    """find_transmission_onset as one pass over the whole trace.
+
+    The receiver's previous find_transmission_onset, kept verbatim: the
+    fast one stops at the first block holding a window that fires and
+    must return the same window.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    first = ONSET_BASELINE_WINDOWS
+    if v.size <= first:
+        return 0
+    counts = np.arange(1, v.size + 1, dtype=np.float64)
+    means = np.cumsum(v) / counts
+    mean_sq = np.cumsum(v * v) / counts
+    stds = np.sqrt(np.maximum(mean_sq - means**2, 0.0))
+    thresholds = (means + 3.0 * stds)[first - 1 : -1]
+    hits = np.nonzero(v[first:] > thresholds + 1e-9)[0]
+    if hits.size == 0:
+        return 0
+    return int(hits[0]) + first
 
 
 def schedule_bits_loop(

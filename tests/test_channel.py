@@ -25,7 +25,12 @@ from diskchannel.channel import (
     noiseless_raw_trace,
     overlay_noise,
 )
-from oracles import noiseless_trace_loop, overlay_noise_whole, trace_csv_loop
+from oracles import (
+    active_accessors,
+    noiseless_trace_loop,
+    overlay_noise_whole,
+    trace_csv_loop,
+)
 
 
 def make_schedule(bits, bit_time=100, n=5, th=0.9):
@@ -67,7 +72,7 @@ def test_noiseless_trace_conserves_work():
 ])
 def test_interferer_demand_matches_pointwise_definition(profile):
     demand = profile.demand_per_ms(25_000)
-    expect = [profile.active_accessors(t) for t in range(25_000)]
+    expect = [active_accessors(profile, t) for t in range(25_000)]
     assert demand.tolist() == expect
 
 

@@ -192,6 +192,28 @@ def test_zero_bit_time_names_the_flag(capsys, tmp_path, argv, flag):
     assert run(capsys, *argv) == (2, "", f"error: {flag} must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["encode", "--bits", "1", "--bt", "1000", "--n", "0"], "--n must be >= 1, got 0"),
+    (["transmit", "--bits", "1011", *BT, *PRI, "--n", "-1"],
+     "--n must be >= 1, got -1"),
+    (["encode", "--bits", "1", "--bt", "1000", "--th", "0"],
+     "--th must be in (0, 1], got 0.0"),
+    (["encode", "--bits", "1", "--bt", "1000", "--th", "1.5"],
+     "--th must be in (0, 1], got 1.5"),
+    (["robustness", "--th", "nan", "--trials", "1"], "--th must be in (0, 1], got nan"),
+    (["sweep", "--axis", "n", "--values", "0", *BT, *PRI],
+     "--values of --axis n must be >= 1, got 0"),
+    (["sweep", "--axis", "th", "--values", "0.5,0", *BT, *PRI],
+     "--values of --axis th must be in (0, 1], got 0.0"),
+    (["robustness", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["sweep", "--axis", "n", "--values", "2", *BT, *PRI, "--payload-bits", "0"],
+     "--payload-bits must be >= 1, got 0"),
+], ids=["encode_n", "transmit_n", "th_0", "th_1.5", "th_nan", "sweep_n", "sweep_th",
+        "trials", "payload_bits"])
+def test_bad_sender_and_trial_flags_name_the_flag(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("duration", ["0", "-5"])
 @pytest.mark.parametrize("command", ["probe", "simulate"])
 def test_duration_below_one_names_the_flag(capsys, tmp_path, command, duration):

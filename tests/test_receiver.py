@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from diskchannel import (
+    AccessSchedule,
     AmbiguousPhase,
     ChannelParams,
     ConstantSignal,
@@ -31,7 +32,13 @@ from diskchannel import (
     symbol_sync,
 )
 from diskchannel.experiment import prepare_transmission
-from oracles import bit_start_vote_loop, gab_fixed_point_loop
+from diskchannel.receiver import ONSET_BASELINE_WINDOWS, ONSET_PREFIX_WINDOWS
+from oracles import (
+    bit_start_full_pass,
+    bit_start_vote_loop,
+    gab_fixed_point_loop,
+    onset_full_pass,
+)
 
 CONFIG = DecoderConfig(bit_time_ms=1000, probe_interval_ms=200)
 
@@ -104,6 +111,39 @@ def test_detect_bit_start_matches_vote_oracle(case):
         assert detect_bit_start(values, config) == want
 
 
+def phase_outcome(phase, *args):
+    """What a phase returns, or the type and text of what it raises."""
+    try:
+        return phase(*args)
+    except (AmbiguousPhase, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def bit_start_cases(draw):
+    """A square wave at 1..250 samples per bit, shifted, cut short, noisy."""
+    spb = draw(st.integers(1, 250))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2, draw(st.integers(0, 40)))
+    if draw(st.booleans()):
+        bits[:] = 1  # no edge: nothing but noise to tell offsets apart
+    level = draw(st.sampled_from((10.0, 1e4, 1e6)))
+    wave = np.concatenate((np.zeros(draw(st.integers(0, spb - 1))), np.repeat(bits, spb)))
+    cut = draw(st.integers(0, min(spb - 1, wave.size)))
+    values = level + wave[: wave.size - cut] * draw(st.sampled_from((1.0, 20.0)))
+    noise = draw(st.sampled_from((0.0, 1e-3, 0.5)))
+    return values + rng.normal(0.0, noise, values.size), DecoderConfig(spb, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit_start_cases())
+def test_detect_bit_start_matches_the_whole_trace_pass(case):
+    values, config = case
+    assert phase_outcome(detect_bit_start, values, config) == phase_outcome(
+        bit_start_full_pass, values, config
+    )
+
+
 @pytest.mark.parametrize("amplitude", [1.0, 1000.0])
 def test_detect_bit_start_keeps_precision_under_large_dc_level(amplitude):
     # 32k windows of a square wave on a level of about 10 s. The first 17
@@ -122,6 +162,7 @@ def test_detect_bit_start_keeps_precision_under_large_dc_level(amplitude):
     config = DecoderConfig(bit_time_ms=40, probe_interval_ms=10)
     assert want == 3
     assert detect_bit_start(values, config) == want
+    assert bit_start_full_pass(values, config) == want
 
 
 def test_detect_bit_start_single_candidate_last_window_abstains():
@@ -263,6 +304,65 @@ def test_onset_detection_trims_idle_lead():
 def test_onset_detection_defaults_to_zero():
     assert find_transmission_onset([10.0, 10.0, 10.0]) == 0
     assert find_transmission_onset([30.0] * 12) == 0
+
+
+@st.composite
+def onset_traces(draw):
+    """A trace of any length, with a step planted inside the first block
+    of the onset scan or beyond the first or second, or none at all.
+
+    Returns the trace and, where the step lies on a flat baseline that
+    the sums hold exactly, the window that must fire.
+    """
+    block = ONSET_PREFIX_WINDOWS
+    size = draw(st.one_of(
+        st.integers(0, 2 * ONSET_BASELINE_WINDOWS),
+        st.integers(0, 20 * block),
+        st.sampled_from([k * block + d for k in (1, 4, 16) for d in (-1, 0, 1)]),
+    ))
+    step = draw(st.one_of(
+        st.integers(ONSET_BASELINE_WINDOWS, block - 1),
+        st.integers(block, 4 * block - 1),
+        st.integers(4 * block, 20 * block),
+    ))
+    kind = draw(st.sampled_from(("step", "noisy step", "flat", "hot", "probe")))
+    level = draw(st.sampled_from((10.0, 1e4, 1e9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.full(size, level)
+    if kind in ("step", "noisy step"):
+        values[step:] *= 2.0
+    if kind == "noisy step":
+        values += rng.normal(0.0, 1.0, size)
+    if kind == "hot":
+        values *= np.linspace(2.0, 1.0, size)
+    if kind == "probe":
+        idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
+        disk = DiskModel.preset(draw(st.sampled_from(("ideal", "moderate"))))
+        interferer = draw(st.sampled_from((InterfererProfile(), InterfererProfile.stress())))
+        probe = simulate(idle, disk, interferer, 10, max(size, 1) * 10, seed=size)
+        values = probe.values_ms
+    exact = kind == "step" and level == 10.0 and step < size
+    return values, step if exact else None
+
+
+@pytest.mark.parametrize("step", [
+    ONSET_BASELINE_WINDOWS, *(k * ONSET_PREFIX_WINDOWS + d for k in (1, 4) for d in (-1, 0, 1))
+])
+def test_onset_fires_at_a_step_beside_a_block_edge(step):
+    values = np.full(20 * ONSET_PREFIX_WINDOWS, 10.0)
+    values[step:] = 20.0
+    assert onset_full_pass(values) == step
+    assert find_transmission_onset(values) == step
+
+
+@settings(max_examples=300, deadline=None)
+@given(onset_traces())
+def test_onset_matches_the_whole_trace_pass(case):
+    values, planted = case
+    want = onset_full_pass(values)
+    if planted is not None:
+        assert want == planted
+    assert find_transmission_onset(values) == want
 
 
 # --- the assembled pipeline ---

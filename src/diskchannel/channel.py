@@ -27,6 +27,9 @@ deterministic per seed.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 import warnings
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -435,6 +438,64 @@ def noiseless_raw_trace(
     return raw
 
 
+# scipy's compiled linear filter, loaded by _linear_filter on first use.
+_linear_filter_fn = None
+_linear_filter_lock = threading.Lock()
+
+
+def _load_linear_filter():
+    """Load scipy.signal's compiled extension alone and return its filter.
+
+    Importing scipy.signal imports most of scipy (1.3-1.7 s and ~65 MB with
+    scipy 1.17 on a 2-vCPU VM) for the one routine lfilter hands a filter
+    with len(a) > 1 to. The top-level package is cheap, since its
+    subpackages load lazily, and tells where the extension file is. That
+    file is loaded under its real name, whose sys.modules entry is then
+    taken out again: a later import of scipy.signal builds the package
+    whole and finds the same function. A module already imported under
+    that name is used as it is.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    name = "scipy.signal._sigtools"
+    module = sys.modules.get(name)
+    if module is None:
+        stem = os.path.join(os.path.dirname(scipy.__file__), "signal", "_sigtools")
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        path = next((stem + s for s in suffixes if os.path.isfile(stem + s)), None)
+        if path is None:
+            raise ImportError(
+                f"no extension file {stem}<suffix> for a suffix in {suffixes}",
+                name=name, path=stem,
+            )
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader)
+            )
+            loader.exec_module(module)
+        finally:
+            sys.modules.pop(name, None)
+    return module._linear_filter
+
+
+def _linear_filter():
+    """scipy's _linear_filter(b, a, x, axis, zi), loaded once per process.
+
+    The lock keeps trials that start together in run_ber's pool from
+    loading it twice; once it is loaded no call takes the lock.
+    """
+    global _linear_filter_fn
+    if _linear_filter_fn is None:
+        with _linear_filter_lock:
+            if _linear_filter_fn is None:
+                _linear_filter_fn = _load_linear_filter()
+    return _linear_filter_fn
+
+
 def overlay_noise(
     raw: np.ndarray, disk: DiskModel, pri_ms: int, seed: int = 0
 ) -> ContentionTrace:
@@ -455,16 +516,16 @@ def overlay_noise(
         parts = [noisy[i : i + NOISE_CHUNK] for i in range(0, noisy.size, NOISE_CHUNK)]
         draws = np.empty(min(NOISE_CHUNK, noisy.size))
         if disk.wander_stddev_ms > 0:
-            # Imported here, its only use, because importing scipy takes a second.
-            from scipy.signal import lfilter
-
-            # Stationary AR(1) wander sampled at the raw read period.
+            # Stationary AR(1) wander sampled at the raw read period, through
+            # the compiled routine and arguments scipy.signal.lfilter uses.
+            linear_filter = _linear_filter()
             rho = math.exp(-disk.raw_sample_period_ms / disk.wander_time_ms)
-            scale = disk.wander_stddev_ms * math.sqrt(1.0 - rho * rho)
+            b = np.array([disk.wander_stddev_ms * math.sqrt(1.0 - rho * rho)])
+            a = np.array([1.0, -rho])
             state = np.array([rho * (disk.wander_stddev_ms * rng.standard_normal())])
             for part in parts:
                 innovations = rng.standard_normal(out=draws[: part.size])
-                wander, state = lfilter([scale], [1.0, -rho], innovations, zi=state)
+                wander, state = linear_filter(b, a, innovations, -1, state)
                 part += wander
         if disk.noise_stddev_ms > 0:
             for part in parts:

@@ -97,6 +97,13 @@ def _positive(value: int, flag: str) -> int:
     return value
 
 
+def _non_negative(value: int | None, flag: str) -> int | None:
+    """A seed or lead-in from the command line, or None; a bad one names its flag."""
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _fraction(value: float, flag: str) -> float:
     """A fraction in (0, 1] given on the command line; a bad one names its flag."""
     if not 0.0 < value <= 1.0:
@@ -148,10 +155,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = AccessSchedule.from_text(_read_input(args.schedule))
     disk, interferer = _disk_and_interferer(args)
     pri = _positive(args.pri, "--pri")
-    lead_in, run_ms = run_length(schedule, pri, args.lead_in)
+    lead_in, run_ms = run_length(
+        schedule, pri, _non_negative(args.lead_in, "--lead-in")
+    )
     if args.duration is not None:
         run_ms = _positive(args.duration, "--duration")
-    trace = simulate(schedule, disk, interferer, pri, run_ms, lead_in, args.seed)
+    seed = _non_negative(args.seed, "--seed")
+    trace = simulate(schedule, disk, interferer, pri, run_ms, lead_in, seed)
     _write_output(trace.to_csv(), args.output)
     return 0
 
@@ -160,11 +170,13 @@ def cmd_transmit(args: argparse.Namespace) -> int:
     payload = _message_bits(args)
     disk, interferer = _disk_and_interferer(args)
     params = _channel_params(args)
+    lead_in = _non_negative(args.lead_in, "--lead-in")
+    seed = _non_negative(args.seed, "--seed")
     transmission = prepare_transmission(
-        params, payload, disk, interferer, lead_in_ms=args.lead_in
+        params, payload, disk, interferer, lead_in_ms=lead_in
     )
     schedule = transmission.schedule
-    trace = transmission.trace(args.seed)
+    trace = transmission.trace(seed)
     decoded = decode_message(trace, params.decoder)
     errors = count_payload_errors(payload, decoded)
     print(f"sent {len(payload)} payload bits over {schedule.total_duration_ms} ms")
@@ -182,11 +194,11 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         params=_channel_params(args),
         payload_bits=_positive(args.payload_bits, "--payload-bits"),
         n_trials=_positive(args.trials, "--trials"),
-        base_seed=args.seed,
+        base_seed=_non_negative(args.seed, "--seed"),
         payload_seed=args.payload_seed,
         disk=disk,
         interferer=interferer,
-        lead_in_ms=args.lead_in,
+        lead_in_ms=_non_negative(args.lead_in, "--lead-in"),
     )
 
 
@@ -216,7 +228,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
     idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
     pri = _positive(args.pri, "--pri")
     duration = whole_windows(_positive(args.duration, "--duration"), pri)
-    trace = simulate(idle, disk, interferer, pri, duration, seed=args.seed)
+    seed = _non_negative(args.seed, "--seed")
+    trace = simulate(idle, disk, interferer, pri, duration, seed=seed)
     _write_output(trace.to_csv(), args.output)
     return 0
 

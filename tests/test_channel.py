@@ -1,5 +1,7 @@
 import hashlib
+import importlib.machinery
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from diskchannel import (
 from diskchannel.channel import (
     CLAMP_FRACTION,
     NOISE_CHUNK,
+    _load_linear_filter,
     noiseless_raw_trace,
     overlay_noise,
 )
@@ -228,6 +231,14 @@ def test_noise_drawn_in_chunks_equals_whole_draws(reads, noise, wander):
     assert got.values_ms.tobytes() == want.values_ms.tobytes()
     floor = CLAMP_FRACTION * disk.base_latency_ms
     assert (floor in got.values_ms) == (noise == 8.0)
+
+
+def test_wander_filter_names_a_missing_extension_file(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"_sigtools<suffix> .*'\.missing'"):
+        _load_linear_filter()
+    assert "scipy.signal._sigtools" not in sys.modules
 
 
 def test_noise_floor_clamp():

@@ -208,9 +208,30 @@ def test_zero_bit_time_names_the_flag(capsys, tmp_path, argv, flag):
     (["robustness", "--trials", "0"], "--trials must be >= 1, got 0"),
     (["sweep", "--axis", "n", "--values", "2", *BT, *PRI, "--payload-bits", "0"],
      "--payload-bits must be >= 1, got 0"),
+    (["transmit", "--bits", "1011", "--bt", "1000", *PRI, "--lead-in", "-5000"],
+     "--lead-in must be >= 0, got -5000"),
+    (["sweep", "--axis", "n", "--values", "2", *BT, *PRI, "--lead-in", "-300"],
+     "--lead-in must be >= 0, got -300"),
+    (["robustness", "--lead-in", "-1", "--trials", "1"],
+     "--lead-in must be >= 0, got -1"),
+    (["transmit", "--bits", "1011", *BT, *PRI, "--noise", "moderate", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["robustness", "--seed", "-3", "--trials", "1"], "--seed must be >= 0, got -3"),
+    (["sweep", "--axis", "n", "--values", "2", *BT, *PRI, "--seed", "-4"],
+     "--seed must be >= 0, got -4"),
+    (["probe", *PRI, "--duration", "1000", "--seed", "-2"],
+     "--seed must be >= 0, got -2"),
+    (["simulate", "SCHEDULE", *PRI, "--lead-in", "-100"],
+     "--lead-in must be >= 0, got -100"),
+    (["simulate", "SCHEDULE", *PRI, "--seed", "-5"], "--seed must be >= 0, got -5"),
 ], ids=["encode_n", "transmit_n", "th_0", "th_1.5", "th_nan", "sweep_n", "sweep_th",
-        "trials", "payload_bits"])
-def test_bad_sender_and_trial_flags_name_the_flag(capsys, argv, message):
+        "trials", "payload_bits", "transmit_lead_in", "sweep_lead_in",
+        "robustness_lead_in", "transmit_seed", "robustness_seed", "sweep_seed",
+        "probe_seed_no_noise", "simulate_lead_in", "simulate_seed_no_noise"])
+def test_bad_sender_and_trial_flags_name_the_flag(capsys, tmp_path, argv, message):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("# total_duration_ms 1000\n# bit_time_ms 500\n0 0 450\n")
+    argv = [str(schedule) if arg == "SCHEDULE" else arg for arg in argv]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -90,59 +90,60 @@ def _disk_and_interferer(
     return disk, interferer
 
 
-def _positive(value: int, flag: str) -> int:
-    """A count or span of ms given on the command line; a bad one names its flag."""
-    if value < 1:
+def _positive(value: int | None, flag: str) -> None:
+    """A count or span of ms from the command line, or None; a bad one names its flag."""
+    if value is not None and value < 1:
         raise ValueError(f"{flag} must be >= 1, got {value}")
-    return value
 
 
-def _non_negative(value: int | None, flag: str) -> int | None:
+def _non_negative(value: int | None, flag: str) -> None:
     """A seed or lead-in from the command line, or None; a bad one names its flag."""
     if value is not None and value < 0:
         raise ValueError(f"{flag} must be >= 0, got {value}")
-    return value
 
 
-def _fraction(value: float, flag: str) -> float:
-    """A fraction in (0, 1] given on the command line; a bad one names its flag."""
-    if not 0.0 < value <= 1.0:
+def _fraction(value: float | None, flag: str) -> None:
+    """A fraction in (0, 1] from the command line, or None; a bad one names its flag."""
+    if value is not None and not 0.0 < value <= 1.0:
         raise ValueError(f"{flag} must be in (0, 1], got {value}")
-    return value
 
 
-# How each flag that is a sweep axis is checked.
-AXIS_CHECKS = {"bt": _positive, "pri": _positive, "n": _positive, "th": _fraction}
-
-
-def _sender_args(args: argparse.Namespace) -> tuple[int, int, float]:
-    """--bt, --n and --th, each checked under its own name."""
-    return (
-        _positive(args.bt, "--bt"), _positive(args.n, "--n"), _fraction(args.th, "--th")
-    )
+# How main() checks each numeric flag, by dest, before any input is read;
+# sweep checks its --values with the entry of the axis flag. Apart from
+# FLAGS because simulate and probe each declare their own --duration.
+CHECKS = {
+    "bt": _positive,
+    "pri": _positive,
+    "n": _positive,
+    "th": _fraction,
+    "trials": _positive,
+    "payload_bits": _positive,
+    "duration": _positive,
+    "lead_in": _non_negative,
+    "seed": _non_negative,
+    "payload_seed": _non_negative,
+}
 
 
 def _channel_params(args: argparse.Namespace) -> ChannelParams:
-    bt, n, th = _sender_args(args)
-    return ChannelParams(bt, _positive(args.pri, "--pri"), n, th)
+    return ChannelParams(args.bt, args.pri, args.n, args.th)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    sender = SenderConfig(*_sender_args(args))
+    sender = SenderConfig(args.bt, args.n, args.th)
     schedule = payload_schedule(_message_bits(args), sender)
     _write_output(schedule.to_text(), args.output)
     return 0
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    bit_time_ms = _positive(args.bt, "--bt")
     trace = ContentionTrace.from_csv(_read_input(args.trace))
     if trace.probe_interval_ms != args.pri:
         raise WindowMismatch(
             f"trace windows are {trace.probe_interval_ms} ms apart, "
             f"not --pri {args.pri}"
         )
-    payload = decode_message(trace, DecoderConfig(bit_time_ms, args.pri))
+    payload = decode_message(trace, DecoderConfig(args.bt, args.pri))
     try:
         text = bits_to_text(payload) if args.text else bits_to_string(payload)
     except ValueError as exc:  # not whole UTF-8 bytes: the channel garbled them
@@ -154,14 +155,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = AccessSchedule.from_text(_read_input(args.schedule))
     disk, interferer = _disk_and_interferer(args)
-    pri = _positive(args.pri, "--pri")
-    lead_in, run_ms = run_length(
-        schedule, pri, _non_negative(args.lead_in, "--lead-in")
-    )
+    lead_in, run_ms = run_length(schedule, args.pri, args.lead_in)
     if args.duration is not None:
-        run_ms = _positive(args.duration, "--duration")
-    seed = _non_negative(args.seed, "--seed")
-    trace = simulate(schedule, disk, interferer, pri, run_ms, lead_in, seed)
+        run_ms = args.duration
+    trace = simulate(schedule, disk, interferer, args.pri, run_ms, lead_in, args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0
 
@@ -170,13 +167,11 @@ def cmd_transmit(args: argparse.Namespace) -> int:
     payload = _message_bits(args)
     disk, interferer = _disk_and_interferer(args)
     params = _channel_params(args)
-    lead_in = _non_negative(args.lead_in, "--lead-in")
-    seed = _non_negative(args.seed, "--seed")
     transmission = prepare_transmission(
-        params, payload, disk, interferer, lead_in_ms=lead_in
+        params, payload, disk, interferer, lead_in_ms=args.lead_in
     )
     schedule = transmission.schedule
-    trace = transmission.trace(seed)
+    trace = transmission.trace(args.seed)
     decoded = decode_message(trace, params.decoder)
     errors = count_payload_errors(payload, decoded)
     print(f"sent {len(payload)} payload bits over {schedule.total_duration_ms} ms")
@@ -192,13 +187,13 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     disk, interferer = _disk_and_interferer(args)
     return ExperimentSpec(
         params=_channel_params(args),
-        payload_bits=_positive(args.payload_bits, "--payload-bits"),
-        n_trials=_positive(args.trials, "--trials"),
-        base_seed=_non_negative(args.seed, "--seed"),
+        payload_bits=args.payload_bits,
+        n_trials=args.trials,
+        base_seed=args.seed,
         payload_seed=args.payload_seed,
         disk=disk,
         interferer=interferer,
-        lead_in_ms=_non_negative(args.lead_in, "--lead-in"),
+        lead_in_ms=args.lead_in,
     )
 
 
@@ -211,7 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ValueError("--values is empty")
     for value in values:
-        AXIS_CHECKS[args.axis](value, f"--values of --axis {args.axis}")
+        CHECKS[args.axis](value, f"--values of --axis {args.axis}")
     reports = sweep(_spec_from_args(args), AXIS_MAP[args.axis], values)
     _write_output(reports_to_csv(reports), args.output)
     return 0
@@ -226,10 +221,8 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     disk, interferer = _disk_and_interferer(args)
     idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
-    pri = _positive(args.pri, "--pri")
-    duration = whole_windows(_positive(args.duration, "--duration"), pri)
-    seed = _non_negative(args.seed, "--seed")
-    trace = simulate(idle, disk, interferer, pri, duration, seed=seed)
+    duration = whole_windows(args.duration, args.pri)
+    trace = simulate(idle, disk, interferer, args.pri, duration, seed=args.seed)
     _write_output(trace.to_csv(), args.output)
     return 0
 
@@ -364,9 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for dest, check in CHECKS.items():
+            check(getattr(args, dest, None), "--" + dest.replace("_", "-"))
         return args.func(args)
     except DecodeError as exc:
         print(f"decode failed during {exc.phase}: {exc.cause}", file=sys.stderr)

@@ -147,17 +147,6 @@ def test_config_value_errors_exit_two(capsys, tmp_path, line, error):
     assert (code, stdout, stderr) == (2, "", f"error: {error}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--axis", "pri", "--values", "0", "--bt", "1000", "--pri", "40",
-     "--trials", "1"],
-    ["probe", "--pri", "0", "--duration", "1000"],
-])
-def test_zero_probe_interval_exit_two(capsys, argv):
-    code, _, stderr = run(capsys, *argv)
-    assert code == 2
-    assert stderr.startswith("error:")
-
-
 @pytest.mark.parametrize("axis, values", [("n", "2,2.5"), ("th", "0.9,x")])
 def test_sweep_values_take_the_type_of_the_axis_flag(capsys, axis, values):
     assert run(capsys, "sweep", "--axis", axis, "--values", values, *BT, *PRI) == (
@@ -169,10 +158,26 @@ def test_sweep_values_take_the_type_of_the_axis_flag(capsys, axis, values):
     (["probe", "--pri", "0", "--duration", "1000"], "--pri"),
     (["sweep", "--axis", "pri", "--values", "200,0", "--bt", "1000", "--pri", "200",
       "--trials", "1"], "--values of --axis pri"),
+    (["sweep", "--axis", "pri", "--values", "0", "--bt", "1000", "--pri", "40",
+      "--trials", "1"], "--values of --axis pri"),
     (["transmit", "--bits", "1011", "--bt", "1000", "--pri", "0"], "--pri"),
-], ids=["probe", "sweep", "transmit"])
-def test_zero_probe_interval_names_the_flag(capsys, argv, flag):
+    (["decode", "TRACE", "--bt", "1000", "--pri", "0"], "--pri"),
+], ids=["probe", "sweep", "sweep_only_value", "transmit", "decode"])
+def test_zero_probe_interval_names_the_flag(capsys, tmp_path, argv, flag):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("window_start_ms,avg_access_time_ms\n0,10.0\n100,10.0\n")
+    argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
     assert run(capsys, *argv) == (2, "", f"error: {flag} must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "MISSING", "--pri", "0"], "--pri must be >= 1, got 0"),
+    (["transmit", "--bits", "1x", "--bt", "0", *PRI], "--bt must be >= 1, got 0"),
+    (["decode", "MISSING", *BT, "--pri", "0"], "--pri must be >= 1, got 0"),
+], ids=["simulate_missing_file", "transmit_bad_bits", "decode_missing_file"])
+def test_flags_are_checked_before_any_input_is_read(capsys, tmp_path, argv, message):
+    argv = [str(tmp_path / "missing") if arg == "MISSING" else arg for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -224,10 +229,15 @@ def test_zero_bit_time_names_the_flag(capsys, tmp_path, argv, flag):
     (["simulate", "SCHEDULE", *PRI, "--lead-in", "-100"],
      "--lead-in must be >= 0, got -100"),
     (["simulate", "SCHEDULE", *PRI, "--seed", "-5"], "--seed must be >= 0, got -5"),
+    (["sweep", "--axis", "n", "--values", "2", *BT, *PRI, "--payload-seed", "-5"],
+     "--payload-seed must be >= 0, got -5"),
+    (["robustness", "--payload-seed", "-1", "--trials", "1"],
+     "--payload-seed must be >= 0, got -1"),
 ], ids=["encode_n", "transmit_n", "th_0", "th_1.5", "th_nan", "sweep_n", "sweep_th",
         "trials", "payload_bits", "transmit_lead_in", "sweep_lead_in",
         "robustness_lead_in", "transmit_seed", "robustness_seed", "sweep_seed",
-        "probe_seed_no_noise", "simulate_lead_in", "simulate_seed_no_noise"])
+        "probe_seed_no_noise", "simulate_lead_in", "simulate_seed_no_noise",
+        "sweep_payload_seed", "robustness_payload_seed"])
 def test_bad_sender_and_trial_flags_name_the_flag(capsys, tmp_path, argv, message):
     schedule = tmp_path / "schedule.txt"
     schedule.write_text("# total_duration_ms 1000\n# bit_time_ms 500\n0 0 450\n")

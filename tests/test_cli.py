@@ -147,6 +147,15 @@ def test_config_value_errors_exit_two(capsys, tmp_path, line, error):
     assert (code, stdout, stderr) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--axis", "pri", "--values", "0", "--bt", "1000", "--pri", "40",
+      "--trials", "1"], "--values of --axis pri"),
+    (["probe", "--pri", "0", "--duration", "1000"], "--pri"),
+], ids=["argv0", "argv1"])
+def test_zero_probe_interval_exit_two(capsys, argv, flag):
+    assert run(capsys, *argv) == (2, "", f"error: {flag} must be >= 1, got 0\n")
+
+
 @pytest.mark.parametrize("axis, values", [("n", "2,2.5"), ("th", "0.9,x")])
 def test_sweep_values_take_the_type_of_the_axis_flag(capsys, axis, values):
     assert run(capsys, "sweep", "--axis", axis, "--values", values, *BT, *PRI) == (
@@ -158,11 +167,9 @@ def test_sweep_values_take_the_type_of_the_axis_flag(capsys, axis, values):
     (["probe", "--pri", "0", "--duration", "1000"], "--pri"),
     (["sweep", "--axis", "pri", "--values", "200,0", "--bt", "1000", "--pri", "200",
       "--trials", "1"], "--values of --axis pri"),
-    (["sweep", "--axis", "pri", "--values", "0", "--bt", "1000", "--pri", "40",
-      "--trials", "1"], "--values of --axis pri"),
     (["transmit", "--bits", "1011", "--bt", "1000", "--pri", "0"], "--pri"),
     (["decode", "TRACE", "--bt", "1000", "--pri", "0"], "--pri"),
-], ids=["probe", "sweep", "sweep_only_value", "transmit", "decode"])
+], ids=["probe", "sweep", "transmit", "decode"])
 def test_zero_probe_interval_names_the_flag(capsys, tmp_path, argv, flag):
     trace = tmp_path / "trace.csv"
     trace.write_text("window_start_ms,avg_access_time_ms\n0,10.0\n100,10.0\n")

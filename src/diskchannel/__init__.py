@@ -62,10 +62,8 @@ from .framing import (
 )
 from .receiver import (
     BitEstimates,
-    DecodeDiagnostics,
     DecoderConfig,
     decode_message,
-    decode_message_with_diagnostics,
     decode_with_gab,
     detect_bit_start,
     find_transmission_onset,
@@ -91,7 +89,6 @@ __all__ = [
     "ChannelParams",
     "ConstantSignal",
     "ContentionTrace",
-    "DecodeDiagnostics",
     "DecodeError",
     "DecoderConfig",
     "DegenerateInterval",
@@ -120,7 +117,6 @@ __all__ = [
     "build_access_schedule",
     "decapsulate",
     "decode_message",
-    "decode_message_with_diagnostics",
     "decode_with_gab",
     "destuff_bits",
     "detect_bit_start",

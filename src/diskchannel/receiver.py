@@ -87,27 +87,12 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class BitEstimates:
-    """Phase 2 output: averages, decisions and the final threshold."""
+    """Phase 2 output: decisions and the final threshold."""
 
     offset_samples: int
-    per_bit_avg: tuple[float, ...]
     decoded: Bits
     gab_final: float
     gab_history: tuple[float, ...] = ()
-
-
-@dataclass
-class DecodeDiagnostics:
-    """Per-phase artifacts collected by decode_message_with_diagnostics.
-
-    estimates is the threshold phase's output (offset, per-bit averages,
-    decisions, threshold history), None until that phase has run.
-    """
-
-    onset_window: int = 0
-    estimates: BitEstimates | None = None
-    sync_end: int | None = None
-    payload_span: tuple[int, int] | None = None
 
 
 def detect_bit_start(trace: Sequence[float], config: DecoderConfig) -> int:
@@ -197,7 +182,7 @@ def per_bit_averages(
 
 
 def decode_with_gab(
-    per_bit_avg: Sequence[float], config: DecoderConfig, offset_samples: int = 0
+    averages: Sequence[float], config: DecoderConfig, offset_samples: int = 0
 ) -> BitEstimates:
     """Classify per-bit averages against an iteratively corrected threshold.
 
@@ -218,7 +203,7 @@ def decode_with_gab(
         AllOneClass: iteration degenerated into a single class.
         ValueError: fewer than two averages.
     """
-    averages = np.asarray(per_bit_avg, dtype=np.float64)
+    averages = np.asarray(averages, dtype=np.float64)
     if averages.size < 2:
         raise ValueError("need at least two per-bit averages")
     if np.all(averages == averages[0]):
@@ -243,7 +228,6 @@ def decode_with_gab(
         decoded = next_decoded
     return BitEstimates(
         offset_samples=offset_samples,
-        per_bit_avg=tuple(float(a) for a in averages),
         decoded=tuple(int(b) for b in decoded),
         gab_final=gab,
         gab_history=tuple(history),
@@ -308,41 +292,26 @@ def find_transmission_onset(values: Sequence[float]) -> int:
 def decode_message(trace: ContentionTrace, config: DecoderConfig) -> Bits:
     """Run the full pipeline and return the recovered payload bits.
 
+    The phases run in order: onset detection, bit-start detection,
+    per-bit averaging, threshold decoding, symbol sync, frame sync and
+    destuffing.
+
     Raises:
         DecodeError: any phase failed; .phase names the culprit and
             .cause carries the underlying error.
     """
-    payload, _ = decode_message_with_diagnostics(trace, config)
-    return payload
-
-
-def decode_message_with_diagnostics(
-    trace: ContentionTrace, config: DecoderConfig
-) -> tuple[Bits, DecodeDiagnostics]:
-    """decode_message, also returning the artifacts of the phases that ran."""
-    diag = DecodeDiagnostics()
     values = trace.values_ms
-
     onset = _run_phase("onset detection", find_transmission_onset, values)
-    diag.onset_window = onset
     active = values[onset:]
-
     offset = _run_phase("bit-start detection", detect_bit_start, active, config)
     averages = _run_phase("per-bit averaging", per_bit_averages, active, offset, config)
     estimates = _run_phase(
         "threshold decoding", decode_with_gab, averages, config, offset
     )
-    diag.estimates = estimates
     decoded = bytes(estimates.decoded)
-
     sync_end = _run_phase("symbol sync", symbol_sync, decoded)
-    diag.sync_end = sync_end
-
-    span = _run_phase("frame sync", frame_sync, decoded, sync_end)
-    diag.payload_span = span
-
-    payload = _run_phase("destuffing", destuff_bits, decoded[span[0] : span[1]])
-    return payload, diag
+    start, end = _run_phase("frame sync", frame_sync, decoded, sync_end)
+    return _run_phase("destuffing", destuff_bits, decoded[start:end])
 
 
 def _run_phase(phase: str, fn, *args):

@@ -50,9 +50,6 @@ class TimeChangeVector:
 
     durations: tuple[int, ...]
 
-    def total_ms(self) -> int:
-        return sum(self.durations)
-
 
 @dataclass(frozen=True)
 class AccessSchedule:

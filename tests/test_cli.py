@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import pytest
 
@@ -109,6 +110,19 @@ def test_decode_text_of_garbled_payload_exit_one(
     assert (code, stdout) == (1, "")
     assert stderr.startswith("decode failed during text decoding: ")
     assert cause in stderr
+
+
+def test_decode_text_of_a_channel_decoded_partial_byte_exit_one(capsys, monkeypatch):
+    # encode | simulate - | decode - --text, with each stage reading stdin
+    _, schedule, _ = run(capsys, "encode", "--bits", "1011001", "--bt", "1000")
+    monkeypatch.setattr("sys.stdin", io.StringIO(schedule))
+    _, trace, _ = run(capsys, "simulate", "-", *PRI)
+    monkeypatch.setattr("sys.stdin", io.StringIO(trace))
+    code, stdout, stderr = run(capsys, "decode", "-", "--bt", "1000", *PRI, "--text")
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        "decode failed during text decoding: bit count 7 is not a multiple of 8\n"
+    )
 
 
 def test_invalid_arguments_exit_two(capsys):

@@ -19,7 +19,6 @@ from diskchannel import (
     SyncNotFound,
     build_access_schedule,
     decode_message,
-    decode_message_with_diagnostics,
     decode_with_gab,
     detect_bit_start,
     encapsulate,
@@ -31,6 +30,7 @@ from diskchannel import (
     simulate,
     symbol_sync,
 )
+from diskchannel import receiver
 from diskchannel.experiment import prepare_transmission
 from diskchannel.receiver import ONSET_BASELINE_WINDOWS, ONSET_PREFIX_WINDOWS
 from oracles import (
@@ -403,15 +403,27 @@ def test_decode_message_saturated_channel_fails_in_phase_one():
     assert isinstance(err.value.cause, AmbiguousPhase)
 
 
-def test_diagnostics_capture_pipeline_state():
-    payload = random_bits(48, 11)
-    trace = transmit(payload)
-    decoded, diag = decode_message_with_diagnostics(trace, CONFIG)
-    assert decoded == payload
-    assert diag.payload_span is not None
-    assert diag.sync_end is not None
-    assert len(diag.estimates.per_bit_avg) >= len(payload) + 32
-    assert diag.estimates.gab_history
+@pytest.mark.parametrize("name, phase", [
+    ("find_transmission_onset", "onset detection"),
+    ("detect_bit_start", "bit-start detection"),
+    ("per_bit_averages", "per-bit averaging"),
+    ("decode_with_gab", "threshold decoding"),
+    ("symbol_sync", "symbol sync"),
+    ("frame_sync", "frame sync"),
+    ("destuff_bits", "destuffing"),
+])
+def test_decode_message_names_each_phase(monkeypatch, name, phase):
+    cause = ValueError("boom")
+
+    def fail(*args):
+        raise cause
+
+    trace = transmit(random_bits(24, 7))
+    monkeypatch.setattr(receiver, name, fail)
+    with pytest.raises(DecodeError) as err:
+        decode_message(trace, CONFIG)
+    assert err.value.phase == phase
+    assert err.value.cause is cause
 
 
 def test_decode_with_moderate_noise_and_late_start():

@@ -20,7 +20,7 @@ messages = st.lists(
 def test_encode_tcv_alternating_runs():
     tcv = encode_tcv((1, 0, 1, 1, 0, 0, 0), 100)
     assert tcv.durations == (100, 100, 200, 300)
-    assert tcv.total_ms() == 700
+    assert sum(tcv.durations) == 700
 
 
 def test_encode_tcv_rejects_leading_zero():

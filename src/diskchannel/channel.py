@@ -333,10 +333,13 @@ def _demand_segments(
     times = np.concatenate((np.zeros(1, dtype=np.int64), times))
     steps = np.concatenate((np.zeros(1, dtype=np.int64), steps))
     inside = times < run_duration_ms
-    starts, segment = np.unique(times[inside], return_inverse=True)
-    change = np.zeros(starts.size, dtype=np.int64)
-    np.add.at(change, segment, steps[inside])
-    return starts, np.cumsum(change)
+    times, steps = times[inside], steps[inside]
+    # A sorted dedupe rather than np.unique, which on numpy >= 2 imports all
+    # of numpy.ma. Times are >= 0 and 0 is one of them.
+    order = np.argsort(times, kind="stable")
+    times, steps = times[order], steps[order]
+    first = np.flatnonzero(np.diff(times, prepend=-1))
+    return times[first], np.cumsum(np.add.reduceat(steps, first))
 
 
 def noiseless_raw_trace(
@@ -423,8 +426,10 @@ def noiseless_raw_trace(
     n_reads = run_duration_ms // period
     raw = np.repeat(latency(piece_rate * period), np.diff(piece_read, append=n_reads))
     # A read holding a piece start or a drain end mixes two rates; its work
-    # comes from the closed form at its two edges.
-    mixed = np.unique(piece_read)
+    # comes from the closed form at its two edges. piece_read does not fall,
+    # as a drain end lies inside its segment, so the first of each run of
+    # equal reads lists each mixed read once.
+    mixed = piece_read[np.diff(piece_read, prepend=-1) != 0]
     edges = np.concatenate((mixed, mixed + 1)) * period
     seg = np.searchsorted(starts, edges, side="right") - 1
     into = edges - starts[seg]

@@ -45,6 +45,11 @@ CLAMP_FRACTION = 0.1
 # Raw reads whose noise overlay_noise draws at a time.
 NOISE_CHUNK = 1 << 15
 
+# Rows that to_csv formats at a time, and characters of text (rounded up to
+# the end of a line) that from_csv hands loadtxt at a time.
+CSV_WRITE_ROWS = 2048
+CSV_READ_CHARS = 1 << 16
+
 # noise preset name -> (noise_stddev_ms, wander_stddev_ms)
 NOISE_PRESETS: dict[str, tuple[float, float]] = {
     "ideal": (0.0, 0.0),
@@ -211,11 +216,17 @@ class ContentionTrace:
         return self.values_ms
 
     def to_csv(self) -> str:
-        lines = ["window_start_ms,avg_access_time_ms"]
-        starts, values = self.window_starts_ms.tolist(), self.values_ms.tolist()
-        for start, value in zip(starts, values):
-            lines.append(f"{start},{value!r}")
-        return "\n".join(lines) + "\n"
+        """The trace as CSV text, formatted CSV_WRITE_ROWS rows at a time.
+
+        Only one block's rows are Python objects at any moment, so the
+        call holds about twice the text, not one object per row.
+        """
+        blocks = [_CSV_HEADER + "\n"]
+        for i in range(0, self.values_ms.size, CSV_WRITE_ROWS):
+            starts = self.window_starts_ms[i : i + CSV_WRITE_ROWS].tolist()
+            values = self.values_ms[i : i + CSV_WRITE_ROWS].tolist()
+            blocks.append("".join([f"{s},{v!r}\n" for s, v in zip(starts, values)]))
+        return "".join(blocks)
 
     @classmethod
     def from_csv(cls, text: str) -> "ContentionTrace":
@@ -223,30 +234,20 @@ class ContentionTrace:
 
         Blank lines are skipped and cells may have whitespace around them;
         a cell that is not a number names its line. numpy's loadtxt reads
-        the rows in one pass. It accepts only cells that int() and float()
-        accept, save that it takes \\x1f for whitespace (so text holding
-        one skips it), and it rounds as they do. numpy 1.x also reads an
-        integer field like '100.9' through a float, with a
-        DeprecationWarning; raised as an error, it refuses the rows. Rows
-        it refuses go through _trace_columns, which accepts the rest and
-        names the first fault.
+        the rows a piece of text at a time (_csv_table). It accepts only
+        cells that int() and float() accept, save that it takes \\x1f for
+        whitespace (so text holding one skips it), and it rounds as they
+        do. numpy 1.x also reads an integer field like '100.9' through a
+        float, with a DeprecationWarning; raised as an error, it refuses
+        the rows. Text it refuses goes through _trace_columns whole, which
+        accepts the rest and names the first fault.
         """
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines or lines[0] != "window_start_ms,avg_access_time_ms":
-            raise ValueError("missing trace CSV header")
-        rows = lines[1:]
-        table = None
-        if len(rows) >= 2 and "\x1f" not in text:  # loadtxt warns on no rows
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", DeprecationWarning)
-                    table = np.loadtxt(
-                        rows, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1
-                    )
-            except (ValueError, DeprecationWarning):
-                pass
+        table = None if "\x1f" in text else _csv_table(text)
         if table is None:
-            starts, values = _trace_columns(rows, text)
+            lines = [line for line in text.splitlines() if line.strip()]
+            if not lines or lines[0] != _CSV_HEADER:
+                raise ValueError("missing trace CSV header")
+            starts, values = _trace_columns(lines[1:], text)
         else:
             table.flags.writeable = False  # its columns are handed over
             starts, values = table["start"], table["value"]
@@ -254,7 +255,43 @@ class ContentionTrace:
         return cls(step, starts, values)
 
 
+_CSV_HEADER = "window_start_ms,avg_access_time_ms"
 _CSV_ROW = np.dtype([("start", np.int64), ("value", np.float64)])
+
+
+def _csv_table(text: str) -> np.ndarray | None:
+    """The data rows read by loadtxt one piece of text at a time, or None.
+
+    Each piece ends just after a '\\n', so no line that splitlines() keeps
+    whole is split, "\\r\\n" included, and the pieces' non-blank lines are
+    the text's. loadtxt reads each line on its own, so it refuses a piece
+    exactly when it would refuse all rows at once. None means the header
+    is missing, a piece is refused or there are under two rows: the caller
+    then reads the text whole, which names the fault.
+    """
+    tables = []
+    seen_header = False
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + CSV_READ_CHARS - 1) + 1 or len(text)
+        rows = [line for line in text[start:end].splitlines() if line.strip()]
+        start = end
+        if rows and not seen_header:
+            if rows[0] != _CSV_HEADER:
+                return None
+            seen_header, rows = True, rows[1:]
+        if rows:  # loadtxt warns on no rows
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    tables.append(np.loadtxt(
+                        rows, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1
+                    ))
+            except (ValueError, DeprecationWarning):
+                return None
+    if sum(map(len, tables)) < 2:
+        return None
+    return np.concatenate(tables)
 
 
 def _trace_columns(rows: list[str], text: str) -> tuple[np.ndarray, np.ndarray]:

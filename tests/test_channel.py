@@ -217,7 +217,8 @@ def test_same_seed_same_trace_different_seed_differs():
 
 
 @pytest.mark.parametrize("reads", [
-    NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1, 3 * NOISE_CHUNK + 7,
+    NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1,
+    4 * NOISE_CHUNK - 1, 4 * NOISE_CHUNK, 4 * NOISE_CHUNK + 1, 12 * NOISE_CHUNK + 7,
 ])
 @pytest.mark.parametrize("noise, wander", [
     (0.0, 0.7), (1.0, 0.0), (1.0, 0.7), (8.0, 2.0),
@@ -340,6 +341,11 @@ def test_trace_csv_reads_and_writes_in_at_most_three_times_its_text():
     parsed, read_peak = _traced_peak(lambda: ContentionTrace.from_csv(text))
     assert parsed == trace
     assert write_peak <= 3 * len(text)
+    assert read_peak <= 3 * len(text)
+    # Lines that end in "\r" alone are read in bounded pieces too.
+    text = text.replace("\n", "\r")
+    parsed, read_peak = _traced_peak(lambda: ContentionTrace.from_csv(text))
+    assert parsed == trace
     assert read_peak <= 3 * len(text)
 
 

@@ -3,6 +3,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -30,6 +31,7 @@ from diskchannel import experiment
 from diskchannel.experiment import (
     count_payload_errors,
     prepare_transmission,
+    run_length,
     run_trial,
 )
 
@@ -135,7 +137,7 @@ def test_run_ber_on_one_cpu_starts_no_thread(monkeypatch):
 
 
 @pytest.mark.skipif(
-    experiment._cpu_count() < 2, reason="the pool runs trials only with 2+ CPUs"
+    experiment._cpu_count() < 2, reason="helpers run trials only with 2+ CPUs"
 )
 def test_a_failed_trial_raises_after_every_other_trial_ended(monkeypatch):
     finished = []
@@ -153,7 +155,80 @@ def test_a_failed_trial_raises_after_every_other_trial_ended(monkeypatch):
     with pytest.raises(RuntimeError, match="trial 1 failed"):
         run_ber(fast_spec(n_trials=5))
     assert sorted(finished) == [0, 2, 3, 4]
-    assert all(name.startswith("diskchannel-trial") for name in threads)
+    caller = threading.current_thread().name
+    assert all(
+        name == caller or name.startswith("diskchannel-trial") for name in threads
+    )
+
+
+def test_run_ber_on_two_cpus_runs_on_the_caller_and_one_helper(monkeypatch):
+    spec = fast_spec(n_trials=3, disk=DiskModel.preset("moderate"))
+    expected = run_trial_loop(spec)
+    monkeypatch.setattr(experiment, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(experiment, "_pool", None)
+    # Seeds 0 and 1 wait for each other, so two threads must take them.
+    both_started = threading.Barrier(2, timeout=10)
+    trials_per_thread = Counter()
+    decode_trial = experiment._decode_trial
+
+    def decode_trial_on_record(transmission, seed, payload):
+        trials_per_thread[threading.current_thread().name] += 1
+        if seed < 2:
+            both_started.wait()
+        return decode_trial(transmission, seed, payload)
+
+    monkeypatch.setattr(experiment, "_decode_trial", decode_trial_on_record)
+    try:
+        report = run_ber(spec)
+    finally:
+        if experiment._pool is not None:
+            experiment._pool.shutdown()
+    caller = threading.current_thread().name
+    helpers = [name for name in trials_per_thread if name != caller]
+    assert caller in trials_per_thread
+    assert len(helpers) == 1 and helpers[0].startswith("diskchannel-trial")
+    assert sum(trials_per_thread.values()) == 3
+    assert report == expected
+
+
+def _traced(call):
+    """call()'s result, the memory it kept and the most it held, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+        return result, kept - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
+def robustness_transmission():
+    """prepare_transmission's arguments at ROBUSTNESS_POINT, and its raw reads."""
+    args = (
+        ROBUSTNESS_POINT,
+        random_bits(96, 1234),
+        DiskModel.preset("moderate"),
+        InterfererProfile.benchmark(),
+    )
+    schedule = prepare_transmission(*args).schedule
+    run_ms = run_length(schedule, ROBUSTNESS_POINT.probe_interval_ms)[1]
+    return args, run_ms // args[2].raw_sample_period_ms
+
+
+def test_a_transmission_keeps_no_trace_sized_array():
+    args, reads = robustness_transmission()
+    assert reads > 100_000
+    _, kept, _ = _traced(lambda: prepare_transmission(*args))
+    assert kept < 64 * 1024
+
+
+def test_a_trial_trace_holds_one_trace_sized_buffer():
+    args, reads = robustness_transmission()
+    transmission = prepare_transmission(*args)
+    transmission.trace(0)  # loads the wander filter
+    _, kept, peak = _traced(lambda: transmission.trace(1))
+    assert peak - kept <= 1.25 * 8 * reads
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -19,6 +19,7 @@ from diskchannel import (
     stuff_bits,
     symbol_sync,
 )
+from diskchannel import framing
 from oracles import destuff_loop, stuff_loop, stuffed_runs_ok, symbol_sync_loop
 
 payloads = st.lists(st.integers(min_value=0, max_value=1), max_size=512).map(tuple)
@@ -89,6 +90,20 @@ def test_codec_matches_per_bit_loops_exhaustive():
         for bits in itertools.product((0, 1), repeat=length):
             assert stuff_bits(bits) == stuff_loop(list(bits))
             assert _outcome(destuff_bits, bits) == _outcome(destuff_loop, list(bits))
+
+
+@pytest.mark.parametrize(
+    "tables", [framing._STUFF, framing._DESTUFF], ids=["stuff", "destuff"]
+)
+def test_equal_table_entries_are_one_object(tables):
+    # Entries compare by output, overlong index and the identity of the next
+    # table: comparing the tables themselves would recurse through them.
+    objects: dict[tuple, set[int]] = {}
+    for table in tables.values():
+        for entry in table.values():
+            out, overlong, after = entry
+            objects.setdefault((out, overlong, id(after)), set()).add(id(entry))
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_destuff_matches_per_bit_loop_on_corrupted_streams():

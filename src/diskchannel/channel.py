@@ -384,15 +384,15 @@ def _demand_segments(
     return times[first], np.cumsum(np.add.reduceat(steps, first))
 
 
-def noiseless_raw_trace(
+def noiseless_runs(
     schedule: AccessSchedule,
     disk: DiskModel,
     interferer: InterfererProfile,
     pri_ms: int,
     run_duration_ms: int,
     lead_in_ms: int = 0,
-) -> np.ndarray:
-    """Mean latency of each raw read period of the run, before any noise.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean latency of each raw read period of the run before any noise, as runs.
 
     The schedule is shifted right by lead_in_ms; the interferer is anchored
     at virtual time zero. Windows of pri_ms must tile the run exactly.
@@ -405,36 +405,21 @@ def noiseless_raw_trace(
     gets that piece's latency, from the same expression as a read evaluated
     on its own, so the value is bit-identical. A read that holds a piece
     start or a drain end gets the closed form's served work at its two
-    edges. This is the expansion of noiseless_runs, made read-only.
+    edges.
+
+    The trace comes as two read-only arrays, latencies and how many reads
+    repeat each, and np.repeat of the two is the trace. The runs alternate:
+    a read that holds a piece start or a drain end, with its closed-form
+    latency, then the rest of the last piece that starts in that read
+    (maybe no reads). There are a few runs per demand segment, where the
+    trace has one value per raw read, so a caller that draws noise per
+    seed can keep the runs and expand them into each trial's own buffer.
 
     Raises:
         WindowMismatch: run_duration_ms is not a multiple of pri_ms, or
             pri_ms is not a multiple of the raw sample period.
-        ValueError: the shifted schedule does not fit inside the run.
-    """
-    raw = np.repeat(*noiseless_runs(
-        schedule, disk, interferer, pri_ms, run_duration_ms, lead_in_ms
-    ))
-    raw.flags.writeable = False
-    return raw
-
-
-def noiseless_runs(
-    schedule: AccessSchedule,
-    disk: DiskModel,
-    interferer: InterfererProfile,
-    pri_ms: int,
-    run_duration_ms: int,
-    lead_in_ms: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """noiseless_raw_trace as runs: latencies and how many reads repeat each.
-
-    The runs alternate: a read that holds a piece start or a drain end,
-    with its closed-form latency, then the rest of the last piece that
-    starts in that read (maybe no reads). np.repeat of the two arrays is
-    the trace. There are a few runs per demand segment, where the trace has
-    one value per raw read, so a caller that draws noise per seed can keep
-    the runs and expand them into each trial's own buffer.
+        ValueError: the shifted schedule does not fit inside the run, or
+            the run's counts and spans of ms overflow 64-bit integers.
     """
     if pri_ms < 1:
         raise WindowMismatch(f"pri_ms must be >= 1, got {pri_ms}")
@@ -457,6 +442,24 @@ def noiseless_runs(
         raise ValueError(
             f"schedule ends at {lead_in_ms + last_end} ms, after the "
             f"{run_duration_ms} ms run"
+        )
+    # Demand peaks at the interferer load plus n_accessors per interval
+    # (intervals may overlap). Every int64 below is at most (capacity + that
+    # peak) x run_duration_ms in size, apart from the benchmark bursts' ends,
+    # each under run_duration_ms + burst_ms.
+    int64_max = np.iinfo(np.int64).max
+    peak = interferer.load + schedule.n_accessors * len(schedule.intervals)
+    if (disk.capacity_accessors + peak) * run_duration_ms > int64_max:
+        raise ValueError(
+            f"capacity_accessors {disk.capacity_accessors}, interferer load "
+            f"{interferer.load} and {len(schedule.intervals)} intervals of "
+            f"{schedule.n_accessors} accessors over a {run_duration_ms} ms run "
+            "overflow 64-bit integers"
+        )
+    if run_duration_ms + interferer.burst_ms > int64_max:
+        raise ValueError(
+            f"interferer burst_ms {interferer.burst_ms} after a {run_duration_ms} ms "
+            "run overflows 64-bit integers"
         )
 
     starts, demand = _demand_segments(schedule, interferer, run_duration_ms, lead_in_ms)
@@ -508,7 +511,10 @@ def noiseless_runs(
     rest = np.diff(mixed, append=run_duration_ms // period) - 1
     latencies = np.column_stack((mixed_latency, latency(piece_rate[last] * period)))
     counts = np.column_stack((np.ones_like(rest), rest))
-    return latencies.ravel(), counts.ravel()
+    runs = latencies.ravel(), counts.ravel()
+    for array in runs:
+        array.flags.writeable = False  # every trial of a run_ber reads them
+    return runs
 
 
 # scipy's compiled linear filter, loaded by _linear_filter on first use.
@@ -569,30 +575,22 @@ def _linear_filter():
     return _linear_filter_fn
 
 
-def overlay_noise(
-    raw: np.ndarray, disk: DiskModel, pri_ms: int, seed: int = 0
-) -> ContentionTrace:
-    """Add one seed's noise to a noiseless raw trace and average into windows.
-
-    noisy_windows on a copy of raw, which is left as it is.
-    """
-    return noisy_windows(raw.copy(), disk, pri_ms, seed)
-
-
 def noisy_windows(
-    reads: np.ndarray, disk: DiskModel, pri_ms: int, seed: int = 0
+    runs: tuple[np.ndarray, np.ndarray], disk: DiskModel, pri_ms: int, seed: int = 0
 ) -> ContentionTrace:
-    """Add one seed's noise to raw reads, in place, and average into windows.
+    """Add one seed's noise to a noiseless trace and average into windows.
 
-    The generator is drawn for the wander start, the wander innovations and
-    then the white noise, in that order, skipping the terms the disk model
-    sets to zero. Each term is drawn NOISE_CHUNK reads at a time into one
-    reused buffer and added into reads, so a trial holds its trace plus a
-    chunk or two. A stream drawn in chunks holds the same numbers as one
-    drawn whole, and the wander filter carries its state across chunks, so
-    the trace is the same bit for bit as with whole draws. reads must be
-    writable when the model has noise.
+    The runs, as noiseless_runs gives them, are expanded into a buffer of
+    the call's own, which takes the noise in place. The generator is drawn
+    for the wander start, the wander innovations and then the white noise,
+    in that order, skipping the terms the disk model sets to zero. Each
+    term is drawn NOISE_CHUNK reads at a time into one reused buffer and
+    added into the reads, so a trial holds its trace plus a chunk or two. A
+    stream drawn in chunks holds the same numbers as one drawn whole, and
+    the wander filter carries its state across chunks, so the trace is the
+    same bit for bit as with whole draws.
     """
+    reads = np.repeat(*runs)
     if disk.wander_stddev_ms > 0 or disk.noise_stddev_ms > 0:
         rng = np.random.default_rng(seed)
         parts = [reads[i : i + NOISE_CHUNK] for i in range(0, reads.size, NOISE_CHUNK)]
@@ -636,14 +634,13 @@ def simulate(
 ) -> ContentionTrace:
     """Produce the receiver-side contention trace for one run.
 
-    The noiseless raw trace of noiseless_raw_trace with the noise of
-    overlay_noise on top; see those for the model and the errors raised.
-    The runs are expanded straight into the buffer that takes the noise.
+    The noiseless trace of noiseless_runs with the noise of noisy_windows
+    on top; see those for the model and the errors raised.
     """
-    runs = noiseless_runs(
-        schedule, disk, interferer, pri_ms, run_duration_ms, lead_in_ms
+    return noisy_windows(
+        noiseless_runs(schedule, disk, interferer, pri_ms, run_duration_ms, lead_in_ms),
+        disk, pri_ms, seed,
     )
-    return noisy_windows(np.repeat(*runs), disk, pri_ms, seed)
 
 
 # Config key -> (model class, field); a value converts to its default's type.

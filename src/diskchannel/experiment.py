@@ -140,13 +140,12 @@ class Transmission:
     runs: tuple[np.ndarray, np.ndarray]
 
     def trace(self, seed: int) -> ContentionTrace:
-        """The probe trace under this seed's noise.
+        """The probe trace under this seed's noise, from noisy_windows.
 
-        The runs are expanded into a new buffer that takes the noise in
-        place, the one trace-sized array of the trial.
+        The buffer noisy_windows expands the runs into is the one
+        trace-sized array of the trial.
         """
-        reads = np.repeat(*self.runs)
-        return noisy_windows(reads, self.disk, self.params.probe_interval_ms, seed)
+        return noisy_windows(self.runs, self.disk, self.params.probe_interval_ms, seed)
 
 
 def payload_schedule(payload: Bits, sender: SenderConfig) -> AccessSchedule:

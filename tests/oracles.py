@@ -42,13 +42,13 @@ def active_accessors(interferer: InterfererProfile, t_ms: int) -> int:
     return 0
 
 
-def served_load_loop(demand: list[int], capacity: int) -> list[float]:
-    """Lindley backlog recursion, one millisecond at a time."""
-    backlog = 0.0
+def served_load_loop(demand: list[int], capacity: int) -> list[int]:
+    """Lindley backlog recursion, one millisecond at a time, in Python ints."""
+    backlog = 0
     out = []
     for d in demand:
         arrived = backlog + d
-        next_backlog = max(0.0, arrived - capacity)
+        next_backlog = max(0, arrived - capacity)
         out.append(arrived - next_backlog)
         backlog = next_backlog
     return out
@@ -81,10 +81,13 @@ def noiseless_trace_loop(
     ]
 
 
-def overlay_noise_whole(
+def noisy_windows_whole(
     raw: np.ndarray, disk: DiskModel, pri_ms: int, seed: int = 0
 ) -> ContentionTrace:
-    """overlay_noise with each noise term drawn whole, in one array per term."""
+    """noisy_windows with each noise term drawn whole, in one array per term.
+
+    raw is np.repeat of the runs noisy_windows takes; it is left as it is.
+    """
     rng = np.random.default_rng(seed)
     noisy = raw
     if disk.wander_stddev_ms > 0:

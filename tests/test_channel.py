@@ -29,13 +29,13 @@ from diskchannel.channel import (
     CSV_WRITE_ROWS,
     NOISE_CHUNK,
     _load_linear_filter,
-    noiseless_raw_trace,
-    overlay_noise,
+    noiseless_runs,
+    noisy_windows,
 )
 from oracles import (
     active_accessors,
     noiseless_trace_loop,
-    overlay_noise_whole,
+    noisy_windows_whole,
     to_csv_loop,
     trace_csv_loop,
 )
@@ -53,7 +53,8 @@ def served_per_ms(intervals, n, capacity, run_ms):
     """Work the disk serves in each ms: raw reads of 1 ms, inverted to load."""
     schedule = AccessSchedule(intervals, n, run_ms)
     disk = DiskModel(raw_sample_period_ms=1, capacity_accessors=capacity)
-    raw = noiseless_raw_trace(schedule, disk, InterfererProfile.none(), 1, run_ms)
+    runs = noiseless_runs(schedule, disk, InterfererProfile.none(), 1, run_ms)
+    raw = np.repeat(*runs)
     return ((raw - disk.base_latency_ms) / disk.contention_slope_ms).tolist()
 
 
@@ -160,6 +161,32 @@ def test_noiseless_simulation_matches_loop_oracle_on_random_runs(run):
     assert list(trace.values_ms) == pytest.approx(oracle, rel=0, abs=1e-9)
 
 
+# The largest capacity + stress load that a 1000 ms run with two intervals of
+# 5 accessors keeps inside int64: (capacity + load + 10) x 1000 <= 2**63 - 1.
+LARGEST_SUM = (2**63 - 1) // 1000 - 10
+
+
+@pytest.mark.parametrize("capacity, load", [
+    (12, LARGEST_SUM - 12), (LARGEST_SUM - 10, 10),
+], ids=["load", "capacity"])
+def test_the_largest_stress_load_and_capacity_match_the_loop_oracle(capacity, load):
+    schedule = make_schedule((1, 0, 1), bit_time=100, n=5)
+
+    def model(capacity, load):
+        disk = DiskModel(capacity_accessors=capacity)
+        return schedule, disk, InterfererProfile("stress", load)
+
+    trace = simulate(*model(capacity, load), 100, 1000, lead_in_ms=300)
+    oracle = noiseless_trace_loop(*model(capacity, load), 100, 1000, 300)
+    assert trace.values_ms.tolist() == oracle
+    for over in ((capacity + 1, load), (capacity, load + 1)):
+        with pytest.raises(ValueError, match=(
+            f"^capacity_accessors {over[0]}, interferer load {over[1]} and 2 "
+            "intervals of 5 accessors over a 1000 ms run overflow 64-bit integers$"
+        )):
+            simulate(*model(*over), 100, 1000, lead_in_ms=300)
+
+
 # capacity 15: 35 ms at demand 17 queue a backlog of 70, which drains at
 # 3 per ms during 24 ms at demand 12, so it empties 23 1/3 ms in; then idle.
 FRACTIONAL_DRAIN = (
@@ -228,11 +255,11 @@ def test_noise_drawn_in_chunks_equals_whole_draws(reads, noise, wander):
     disk = DiskModel(noise_stddev_ms=noise, wander_stddev_ms=wander)
     period = disk.raw_sample_period_ms
     schedule = make_schedule((1, 0, 1, 1, 0, 0, 1, 0), bit_time=200, n=14)
-    raw = noiseless_raw_trace(
+    runs = noiseless_runs(
         schedule, disk, InterfererProfile.benchmark(), period, reads * period
     )
-    got = overlay_noise(raw, disk, period, seed=reads)
-    want = overlay_noise_whole(raw, disk, period, seed=reads)
+    got = noisy_windows(runs, disk, period, seed=reads)
+    want = noisy_windows_whole(np.repeat(*runs), disk, period, seed=reads)
     assert got.window_starts_ms.tobytes() == want.window_starts_ms.tobytes()
     assert got.values_ms.tobytes() == want.values_ms.tobytes()
     floor = CLAMP_FRACTION * disk.base_latency_ms

@@ -266,6 +266,44 @@ def test_bad_sender_and_trial_flags_name_the_flag(capsys, tmp_path, argv, messag
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+HUGE = str(10**20)  # past int64
+TRANSMIT = ["transmit", "--bits", "1011", "--bt", "1000"]
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    ([*TRANSMIT, "--n", HUGE], "", f"intervals of {HUGE} accessors"),
+    ([*TRANSMIT, "--lead-in", HUGE], "", " ms run overflow"),
+    (["transmit", "--bits", "1011", "--bt", HUGE], "", " ms run overflow"),
+    (TRANSMIT, f"capacity_accessors = {HUGE}", f"capacity_accessors {HUGE},"),
+    (TRANSMIT, f"interferer.kind = stress\ninterferer.load = {HUGE}",
+     f"interferer load {HUGE} "),
+    (TRANSMIT, "interferer.kind = benchmark\ninterferer.load = 3\n"
+     f"interferer.period_ms = {10**19}\ninterferer.burst_ms = {10**19}",
+     f"interferer burst_ms {10**19} "),
+    (TRANSMIT, f"capacity_accessors = {2**62}", f"capacity_accessors {2**62},"),
+    (TRANSMIT, f"capacity_accessors = {2**63 - 1}", f"capacity_accessors {2**63 - 1},"),
+    (TRANSMIT, f"interferer.kind = stress\ninterferer.load = {2**63 - 1}",
+     f"interferer load {2**63 - 1} "),
+    (["simulate", "SCHEDULE", "--duration", HUGE], "", f"over a {HUGE} ms run"),
+    (["probe", "--duration", HUGE], "", f"over a {HUGE} ms run"),
+    (["sweep", "--axis", "n", "--values", HUGE, "--bt", "1000", "--trials", "1"], "",
+     f"intervals of {HUGE} accessors"),
+], ids=["n", "lead_in", "bt", "capacity", "load", "burst", "capacity_2^62",
+        "capacity_int64_max", "load_int64_max", "simulate_duration",
+        "probe_duration", "sweep_n"])
+def test_counts_and_spans_past_64_bit_arithmetic_exit_two(
+    capsys, tmp_path, argv, config, named
+):
+    schedule, channel = tmp_path / "schedule.txt", tmp_path / "channel.cfg"
+    run(capsys, "encode", "--bits", "1011", "--bt", "1000", "--output", str(schedule))
+    channel.write_text(config + "\n")
+    argv = [str(schedule) if arg == "SCHEDULE" else arg for arg in argv]
+    code, stdout, stderr = run(capsys, *argv, "--pri", "100", "--config", str(channel))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.endswith(" 64-bit integers\n")
+    assert named in stderr and "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("duration", ["0", "-5"])
 @pytest.mark.parametrize("command", ["probe", "simulate"])
 def test_duration_below_one_names_the_flag(capsys, tmp_path, command, duration):

@@ -223,6 +223,19 @@ def test_a_transmission_keeps_no_trace_sized_array():
     assert kept < 64 * 1024
 
 
+def test_the_shared_runs_are_read_only():
+    args, _ = robustness_transmission()
+    for array in prepare_transmission(*args).runs:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_run_ber_refuses_an_accessor_count_past_64_bits():
+    params = ChannelParams(1000, 100, 10**20, 0.9)
+    with pytest.raises(ValueError, match=str(10**20)):
+        run_ber(ExperimentSpec(params, payload_bits=8, n_trials=1))
+
+
 def test_a_trial_trace_holds_one_trace_sized_buffer():
     args, reads = robustness_transmission()
     transmission = prepare_transmission(*args)

@@ -6,7 +6,8 @@ or do all three in one go with transmit. sweep and robustness reproduce
 the error-rate experiments, probe records a receiver-only control trace.
 
 Exit codes: 0 on success, 1 when a decode fails or a transmit is not
-error free, 2 for invalid arguments or unreadable inputs.
+error free, 2 for invalid arguments, unreadable inputs or a run too large
+to hold in memory.
 """
 
 from __future__ import annotations
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     except DecodeError as exc:
         print(f"decode failed during {exc.phase}: {exc.cause}", file=sys.stderr)
         return 1
-    except (DiskChannelError, ValueError, OSError) as exc:
+    except (DiskChannelError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,7 +46,7 @@ VARIANCE_EPSILON = 1e-7
 # Windows of idle baseline onset detection needs before it can trigger.
 ONSET_BASELINE_WINDOWS = 4
 
-# Windows in the first prefix the onset scan tests before it grows it.
+# Windows the onset scan tests before it tests the whole trace.
 ONSET_PREFIX_WINDOWS = 1024
 
 # Upper bound on threshold correction rounds in decode_with_gab.
@@ -89,7 +89,6 @@ class DecoderConfig:
 class BitEstimates:
     """Phase 2 output: decisions and the final threshold."""
 
-    offset_samples: int
     decoded: Bits
     gab_final: float
     gab_history: tuple[float, ...] = ()
@@ -196,7 +195,9 @@ def decode_with_gab(
     run away into a single class. Iteration stops when the classification
     stabilises, when both classes are equally large, or after
     MAX_GAB_ITERATIONS.
-    config is not read; it keeps the call shape of the other phases.
+    Neither config nor offset_samples is read: config keeps the call
+    shape of the other phases, and offset_samples the positional call
+    that bench/workloads.py makes with the bit-start offset.
 
     Raises:
         ConstantSignal: every average is identical.
@@ -227,7 +228,6 @@ def decode_with_gab(
             break
         decoded = next_decoded
     return BitEstimates(
-        offset_samples=offset_samples,
         decoded=tuple(int(b) for b in decoded),
         gab_final=gab,
         gab_history=tuple(history),
@@ -242,51 +242,38 @@ def find_transmission_onset(values: Sequence[float]) -> int:
     nothing triggers keeps short or already-hot traces usable; phase 1's
     modal vote absorbs a bit of leading idle anyway.
 
-    The scan stops at the first window that fires. It tests the first
-    ONSET_PREFIX_WINDOWS windows, then blocks that take the tested prefix
-    to four times its length, and the rest of the trace at once when
-    that prefix would reach a quarter of it. Each block continues the
-    running sums from the last sum of the block before; a cumulative sum
-    is a sequential accumulate, so they equal the whole trace's sums bit
-    for bit, and a trace where nothing fires costs one pass plus a few
-    calls per block.
+    The scan tests the first ONSET_PREFIX_WINDOWS windows, and the whole
+    trace only when none of them fires. A cumulative sum is a sequential
+    accumulate, so the prefix's sums equal the whole trace's bit for bit.
     """
     v = np.asarray(values, dtype=np.float64)
+    onset = _onset_pass(v[:ONSET_PREFIX_WINDOWS])
+    if onset == 0 and v.size > ONSET_PREFIX_WINDOWS:
+        onset = _onset_pass(v)
+    return onset
+
+
+def _onset_pass(v: np.ndarray) -> int:
     first = ONSET_BASELINE_WINDOWS
     if v.size <= first:
         return 0
-    lo, hi = 0, ONSET_PREFIX_WINDOWS
-    while lo < v.size:
-        if 4 * hi >= v.size:
-            hi = v.size
-        # cumsum(v) and cumsum(v * v) over [start, hi), continued from the
-        # last sums of the block before.
-        start = max(lo - 1, 0)
-        block = v[start:hi]
-        s1, s2 = block.copy(), block * block
-        if lo:
-            s1[0], s2[0] = last
-        np.cumsum(s1, out=s1)
-        np.cumsum(s2, out=s2)
-        last = s1[-1], s2[-1]
-        # Window i is tested against the statistics of windows [0, i):
-        # means + 3 * sqrt(max(mean_sq - means**2, 0)) + 1e-9, in place.
-        lo = max(lo, first)
-        counts = np.arange(lo, hi, dtype=np.float64)
-        means = s1[lo - 1 - start : -1]
-        means /= counts
-        bound = s2[lo - 1 - start : -1]
-        bound /= counts  # mean_sq
-        bound -= np.square(means, out=counts)
-        np.sqrt(np.maximum(bound, 0.0, out=bound), out=bound)
-        bound *= 3.0
-        bound += means
-        bound += 1e-9
-        hits = np.nonzero(v[lo:hi] > bound)[0]
-        if hits.size:
-            return int(hits[0]) + lo
-        lo, hi = hi, 4 * hi
-    return 0
+    s1 = np.cumsum(v)
+    s2 = np.multiply(v, v)
+    np.cumsum(s2, out=s2)
+    # Window i is tested against the statistics of windows [0, i):
+    # means + 3 * sqrt(max(mean_sq - means**2, 0)) + 1e-9, in place.
+    counts = np.arange(first, v.size, dtype=np.float64)
+    means = s1[first - 1 : -1]
+    means /= counts
+    bound = s2[first - 1 : -1]
+    bound /= counts  # mean_sq
+    bound -= np.square(means, out=counts)
+    np.sqrt(np.maximum(bound, 0.0, out=bound), out=bound)
+    bound *= 3.0
+    bound += means
+    bound += 1e-9
+    hits = np.flatnonzero(v[first:] > bound)
+    return int(hits[0]) + first if hits.size else 0
 
 
 def decode_message(trace: ContentionTrace, config: DecoderConfig) -> Bits:
@@ -305,9 +292,7 @@ def decode_message(trace: ContentionTrace, config: DecoderConfig) -> Bits:
     active = values[onset:]
     offset = _run_phase("bit-start detection", detect_bit_start, active, config)
     averages = _run_phase("per-bit averaging", per_bit_averages, active, offset, config)
-    estimates = _run_phase(
-        "threshold decoding", decode_with_gab, averages, config, offset
-    )
+    estimates = _run_phase("threshold decoding", decode_with_gab, averages, config)
     decoded = bytes(estimates.decoded)
     sync_end = _run_phase("symbol sync", symbol_sync, decoded)
     start, end = _run_phase("frame sync", frame_sync, decoded, sync_end)

@@ -184,9 +184,9 @@ def bit_start_full_pass(trace, config: DecoderConfig) -> int:
 def onset_full_pass(values) -> int:
     """find_transmission_onset as one pass over the whole trace.
 
-    The receiver's previous find_transmission_onset, kept verbatim: the
-    fast one stops at the first block holding a window that fires and
-    must return the same window.
+    The receiver's earlier find_transmission_onset, kept verbatim: the
+    current one tests a prefix of the trace first and must return the
+    same window.
     """
     v = np.asarray(values, dtype=np.float64)
     first = ONSET_BASELINE_WINDOWS

@@ -304,6 +304,21 @@ def test_counts_and_spans_past_64_bit_arithmetic_exit_two(
     assert named in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("command", ["probe", "simulate"])
+def test_run_too_large_for_memory_exit_two(capsys, tmp_path, command):
+    # With one accessor on one interval, 7e17 ms passes the int64 check, but
+    # its 7e16 reads need 497 PiB, more than a 57-bit address space (128 PiB)
+    # holds, so the allocation fails at once and never pages.
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("0 0 1000\n")
+    argv = [command, *([str(schedule)] if command == "simulate" else [])]
+    code, stdout, stderr = run(
+        capsys, *argv, "--pri", "100", "--duration", "700000000000000000"
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("duration", ["0", "-5"])
 @pytest.mark.parametrize("command", ["probe", "simulate"])
 def test_duration_below_one_names_the_flag(capsys, tmp_path, command, duration):

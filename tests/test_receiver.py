@@ -308,8 +308,8 @@ def test_onset_detection_defaults_to_zero():
 
 @st.composite
 def onset_traces(draw):
-    """A trace of any length, with a step planted inside the first block
-    of the onset scan or beyond the first or second, or none at all.
+    """A trace of any length, with a step planted inside the prefix the
+    onset scan tests first or well beyond it, or none at all.
 
     Returns the trace and, where the step lies on a flat baseline that
     the sums hold exactly, the window that must fire.

@@ -35,6 +35,7 @@ import threading
 import warnings
 from dataclasses import dataclass, fields
 from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -217,125 +218,129 @@ class ContentionTrace:
     def values(self) -> np.ndarray:
         return self.values_ms
 
-    def to_csv(self) -> str:
-        """The trace as CSV text, formatted CSV_WRITE_ROWS rows at a time.
+    def csv_blocks(self) -> Iterator[str]:
+        """The trace as CSV text: the header, then CSV_WRITE_ROWS rows a block.
 
-        Only one block's rows are Python objects at any moment, so the
-        call holds about twice the text, not one object per row.
+        Only one block's rows are Python objects at any moment, so a caller
+        that writes each block out holds about one block, not the text.
         """
-        blocks = [_CSV_HEADER + "\n"]
+        yield _CSV_HEADER + "\n"
         for i in range(0, self.values_ms.size, CSV_WRITE_ROWS):
             starts = self.window_starts_ms[i : i + CSV_WRITE_ROWS].tolist()
             values = self.values_ms[i : i + CSV_WRITE_ROWS].tolist()
-            blocks.append("".join([f"{s},{v!r}\n" for s, v in zip(starts, values)]))
-        return "".join(blocks)
+            yield "".join([f"{s},{v!r}\n" for s, v in zip(starts, values)])
+
+    def to_csv(self) -> str:
+        """The blocks of csv_blocks() joined: about twice the text at peak."""
+        return "".join(self.csv_blocks())
 
     @classmethod
     def from_csv(cls, text: str) -> "ContentionTrace":
         """Parse to_csv's output; the window spacing is the probe interval.
 
         Blank lines are skipped and cells may have whitespace around them;
-        a cell that is not a number names its line. numpy's loadtxt reads
-        the rows a piece of text at a time (_csv_table). It accepts only
-        cells that int() and float() accept, save that it takes \\x1f for
-        whitespace (so text holding one skips it), and it rounds as they
-        do. numpy 1.x also reads an integer field like '100.9' through a
-        float, with a DeprecationWarning; raised as an error, it refuses
-        the rows. Text it refuses goes through _trace_columns whole, which
-        accepts the rest and names the first fault.
+        a cell that is not a number names its line. The text is read a
+        piece at a time (_csv_table). numpy's loadtxt reads a piece's rows:
+        it accepts only cells that int() and float() accept, save that it
+        takes \\x1f for whitespace, and it rounds as they do. numpy 1.x also
+        reads an integer field like '100.9' through a float, with a
+        DeprecationWarning; raised as an error, it refuses the piece. A
+        piece that loadtxt refuses, or that holds \\x1f, is read cell by
+        cell with int() and float() (_cell_table).
+
+        Faults come in the order a read of the whole text finds them: a
+        missing header, or a row that does not hold two cells, at once; then
+        under two rows; then, if any value is not a number, the first line
+        with a cell that is not a number; otherwise the first bad start,
+        either one beyond 64 bits or a line whose start is not an integer.
         """
-        table = None if "\x1f" in text else _csv_table(text)
-        if table is None:
-            lines = [line for line in text.splitlines() if line.strip()]
-            if not lines or lines[0] != _CSV_HEADER:
-                raise ValueError("missing trace CSV header")
-            starts, values = _trace_columns(lines[1:], text)
-        else:
-            table.flags.writeable = False  # its columns are handed over
-            starts, values = table["start"], table["value"]
+        table = _csv_table(text)
+        table.flags.writeable = False  # its columns are handed over
+        starts, values = table["start"], table["value"]
         step = int(starts[1]) - int(starts[0])  # in Python: it may not fit in int64
         return cls(step, starts, values)
 
 
 _CSV_HEADER = "window_start_ms,avg_access_time_ms"
 _CSV_ROW = np.dtype([("start", np.int64), ("value", np.float64)])
+_CSV_COLUMNS = (
+    ("start", "window_start_ms", int, "an integer"),
+    ("value", "avg_access_time_ms", float, "a number"),
+)
 _LINE_END = re.compile("\r(?!\n)|\n")
 
 
-def _csv_table(text: str) -> np.ndarray | None:
-    """The data rows read by loadtxt one piece of text at a time, or None.
+def _csv_table(text: str) -> np.ndarray:
+    """The data rows, read one piece of text at a time, or the first fault.
 
     Each piece ends just after a '\\n', or a '\\r' that no '\\n' follows, so
     no line that splitlines() keeps whole is split, "\\r\\n" included, and
-    the pieces' non-blank lines are the text's. loadtxt reads each line on
-    its own, so it refuses a piece exactly when it would refuse all rows at
-    once. None means the header is missing, a piece is refused or there are
-    under two rows: the caller then reads the text whole, which names the
-    fault.
+    the pieces' lines are the text's. loadtxt reads each line on its own,
+    so it refuses a piece exactly when it would refuse all rows at once.
+    Faults found cell by cell wait until every piece is read, since a later
+    row that does not hold two cells, or too few rows, comes first.
     """
-    tables = []
-    seen_header = False
-    start = 0
+    tables, faults = [], {}
+    seen_header, start, lineno = False, 0, 1
     while start < len(text):
         line_end = _LINE_END.search(text, start + CSV_READ_CHARS - 1)
         end = line_end.end() if line_end else len(text)
-        rows = [line for line in text[start:end].splitlines() if line.strip()]
-        start = end
+        lines = text[start:end].splitlines()
+        rows = [line for line in lines if line.strip()]
         if rows and not seen_header:
             if rows[0] != _CSV_HEADER:
-                return None
+                raise ValueError("missing trace CSV header")
             seen_header, rows = True, rows[1:]
         if rows:  # loadtxt warns on no rows
             try:
+                if text.find("\x1f", start, end) != -1:  # whitespace to loadtxt only
+                    raise ValueError
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", DeprecationWarning)
                     tables.append(np.loadtxt(
                         rows, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1
                     ))
             except (ValueError, DeprecationWarning):
-                return None
+                numbers = [n for n, line in enumerate(lines, lineno) if line.strip()]
+                tables.append(_cell_table(rows, numbers[-len(rows) :], faults))
+        start, lineno = end, lineno + len(lines)
+    if not seen_header:
+        raise ValueError("missing trace CSV header")
     if sum(map(len, tables)) < 2:
-        return None
+        raise ValueError("trace needs at least two windows")
+    if faults:  # a bad value names the first bad line, ahead of any overflow
+        kinds = [kind for kind in faults if kind != "overflow" or "value" not in faults]
+        raise ValueError(faults[kinds[0]])
     return np.concatenate(tables)
 
 
-def _trace_columns(rows: list[str], text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and values of the data rows, cell by cell, or the first fault."""
+def _cell_table(rows: list[str], numbers: list[int], faults: dict) -> np.ndarray:
+    """A piece's data rows, on the given line numbers, read with int() and float().
+
+    A row that does not hold two cells raises at once. If numpy's conversion
+    refuses a cell, the cells are read one by one, and faults keeps, in text
+    order, the first message of each kind: 'start' or 'value' for a cell
+    that int() or float() refuses, 'overflow' for a start beyond 64 bits.
+    """
     if set(map(str.count, rows, repeat(","))) - {1}:
         row = next(row for row in rows if row.count(",") != 1)
         raise ValueError(f"trace row {row!r} does not hold two cells")
-    if len(rows) < 2:
-        raise ValueError("trace needs at least two windows")
     cells = ",".join(rows).split(",")  # start, value, start, value, ...
+    table = np.zeros(len(rows), _CSV_ROW)
     try:
-        values = np.array(cells[1::2], dtype=np.float64)
-        starts = np.array(cells[0::2], dtype=np.int64)
-    except OverflowError:
-        raise ValueError("a window start does not fit in 64 bits") from None
-    except ValueError as exc:
-        raise _bad_trace_cell(text) or exc from None
-    starts.flags.writeable = values.flags.writeable = False  # handed over
-    return starts, values
-
-
-def _bad_trace_cell(text: str) -> ValueError | None:
-    """The error naming the first data line with a cell that is not a number.
-
-    numpy parses the cells with int() and float(), so these find the same
-    cells that the bulk conversion rejects.
-    """
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-    columns = (
-        ("window_start_ms", int, "an integer"),
-        ("avg_access_time_ms", float, "a number"),
-    )
-    for lineno, row in lines[1:]:
-        for cell, (name, parse, kind) in zip(row.split(","), columns):
+        table["value"] = np.array(cells[1::2], dtype=np.float64)
+        table["start"] = np.array(cells[0::2], dtype=np.int64)
+    except (OverflowError, ValueError):
+        for n, cell in enumerate(cells):
+            row, (field, name, parse, kind) = n // 2, _CSV_COLUMNS[n % 2]
             try:
-                parse(cell)
+                table[field][row] = parse(cell)
             except ValueError:
-                return ValueError(f"line {lineno}: {name} must be {kind}, got {cell!r}")
-    return None
+                message = f"line {numbers[row]}: {name} must be {kind}, got {cell!r}"
+                faults.setdefault(field, message)
+            except OverflowError:
+                faults.setdefault("overflow", "a window start does not fit in 64 bits")
+    return table
 
 
 def _read_only(data, dtype) -> np.ndarray:

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .bits import Bits, bits_from_string, bits_from_text, bits_to_string, bits_to_text
 from .channel import (
@@ -61,11 +62,13 @@ def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(blocks: Iterable[str], path: str | None) -> None:
+    """Write the blocks of text one at a time to path, or to stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(blocks)
 
 
 def _message_bits(args: argparse.Namespace) -> Bits:
@@ -133,7 +136,7 @@ def _channel_params(args: argparse.Namespace) -> ChannelParams:
 def cmd_encode(args: argparse.Namespace) -> int:
     sender = SenderConfig(args.bt, args.n, args.th)
     schedule = payload_schedule(_message_bits(args), sender)
-    _write_output(schedule.to_text(), args.output)
+    _write_output([schedule.to_text()], args.output)
     return 0
 
 
@@ -158,9 +161,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     disk, interferer = _disk_and_interferer(args)
     lead_in, run_ms = run_length(schedule, args.pri, args.lead_in)
     if args.duration is not None:
-        run_ms = args.duration
+        run_ms = whole_windows(args.duration, args.pri)
     trace = simulate(schedule, disk, interferer, args.pri, run_ms, lead_in, args.seed)
-    _write_output(trace.to_csv(), args.output)
+    _write_output(trace.csv_blocks(), args.output)
     return 0
 
 
@@ -209,13 +212,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in values:
         CHECKS[args.axis](value, f"--values of --axis {args.axis}")
     reports = sweep(_spec_from_args(args), AXIS_MAP[args.axis], values)
-    _write_output(reports_to_csv(reports), args.output)
+    _write_output([reports_to_csv(reports)], args.output)
     return 0
 
 
 def cmd_robustness(args: argparse.Namespace) -> int:
     reports = robustness_scenarios(_spec_from_args(args))
-    _write_output(scenarios_to_csv(reports), args.output)
+    _write_output([scenarios_to_csv(reports)], args.output)
     return 0
 
 
@@ -224,7 +227,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     idle = AccessSchedule(intervals=(), n_accessors=0, total_duration_ms=0)
     duration = whole_windows(args.duration, args.pri)
     trace = simulate(idle, disk, interferer, args.pri, duration, seed=args.seed)
-    _write_output(trace.to_csv(), args.output)
+    _write_output(trace.csv_blocks(), args.output)
     return 0
 
 
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--duration",
         type=int,
-        help="total run ms (default: lead-in, schedule, one idle bit; whole windows)",
+        help="total run ms, up to whole windows (default: lead-in, schedule, idle bit)",
     )
     _add_flags(p, *CHANNEL_FLAGS, "output")
     p.set_defaults(func=cmd_simulate)

@@ -27,7 +27,7 @@ from diskchannel import (
     MalformedStuffing,
     SyncNotFound,
 )
-from diskchannel.channel import CLAMP_FRACTION, _bad_trace_cell
+from diskchannel.channel import CLAMP_FRACTION
 from diskchannel.framing import MIN_SYNC_RUN
 from diskchannel.receiver import ONSET_BASELINE_WINDOWS, VARIANCE_EPSILON
 
@@ -319,6 +319,26 @@ def trace_csv_loop(text: str) -> ContentionTrace:
         raise _bad_trace_cell(text) or exc from None
     starts.flags.writeable = values.flags.writeable = False  # handed over
     return ContentionTrace(int(starts[1] - starts[0]), starts, values)
+
+
+def _bad_trace_cell(text: str) -> ValueError | None:
+    """The error naming the first data line with a cell that is not a number.
+
+    numpy parses the cells with int() and float(), so these find the same
+    cells that the bulk conversion rejects.
+    """
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    columns = (
+        ("window_start_ms", int, "an integer"),
+        ("avg_access_time_ms", float, "a number"),
+    )
+    for lineno, row in lines[1:]:
+        for cell, (name, parse, kind) in zip(row.split(","), columns):
+            try:
+                parse(cell)
+            except ValueError:
+                return ValueError(f"line {lineno}: {name} must be {kind}, got {cell!r}")
+    return None
 
 
 def symbol_sync_loop(bits: list[int]) -> int:

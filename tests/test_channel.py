@@ -370,10 +370,32 @@ def test_trace_csv_reads_and_writes_in_at_most_three_times_its_text():
     assert write_peak <= 3 * len(text)
     assert read_peak <= 3 * len(text)
     # Lines that end in "\r" alone are read in bounded pieces too.
-    text = text.replace("\n", "\r")
-    parsed, read_peak = _traced_peak(lambda: ContentionTrace.from_csv(text))
+    cr_text = text.replace("\n", "\r")
+    parsed, read_peak = _traced_peak(lambda: ContentionTrace.from_csv(cr_text))
     assert parsed == trace
-    assert read_peak <= 3 * len(text)
+    assert read_peak <= 3 * len(cr_text)
+    # A piece that loadtxt refuses, or that holds \x1f, is read cell by cell
+    # on its own: a bad last value, a start that int() reads and loadtxt does
+    # not, and a blank line of \x1f late in the text.
+    late = text.index("\n1990000,")
+    for refused in (
+        text[: text.rindex(",") + 1] + "x\n",
+        text.replace("\n1999990,", "\n1_999_990,"),
+        text[:late] + "\n\x1f" + text[late:],
+    ):
+        outcome, read_peak = _traced_peak(
+            lambda: _trace_or_error(ContentionTrace.from_csv, refused)
+        )
+        assert outcome == _trace_or_error(trace_csv_loop, refused)
+        assert read_peak <= 3 * len(refused)
+
+
+def _trace_or_error(parse, text):
+    """The trace that parse reads from text, or the ValueError message it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_trace_equality_compares_interval_starts_and_values():
@@ -531,6 +553,13 @@ def test_trace_csv_reader_matches_the_cell_by_cell_reader(text):
 
 @settings(max_examples=400, deadline=None)
 @given(trace_csv_texts(), st.integers(1, 3), st.integers(1, 48))
+# A bad value names the first bad line: the empty start on line 3, after the
+# start beyond 64 bits, in its piece (30) or the next (11).
+@example(HEADER + "99999999999999999999,0.0\n,0.0\n2,0.0\x00", 1, 30)
+@example(HEADER + "99999999999999999999,0.0\n,0.0\n2,0.0\x00", 1, 11)
+# A row that does not hold two cells wins over a bad value in an earlier piece.
+@example(HEADER + "0,x\n100,1.0\n200,1.0,7\n", 1, 1)
+@example(HEADER + "0,x\n" + "100,1.0\n" * 8 + "900,1.0,7\n", 1, 11)
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_trace_csv_in_small_blocks_matches_the_reference_reader_and_writer(
     text, write_rows, read_chars

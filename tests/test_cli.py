@@ -1,9 +1,11 @@
 import hashlib
 import io
+import tracemalloc
 
 import pytest
 
 from diskchannel import ChannelParams, DiskModel, InterfererProfile, bits_from_string
+from diskchannel.channel import CSV_WRITE_ROWS
 from diskchannel.cli import build_parser, main
 from diskchannel.experiment import prepare_transmission
 
@@ -434,6 +436,37 @@ def test_probe_trace_csv(capsys):
     assert len(lines) == 41
     # the benchmark burst is visible at the head of the period
     assert float(lines[1].split(",")[1]) > float(lines[-1].split(",")[1])
+
+
+def test_probe_writes_its_trace_csv_a_block_at_a_time(capsys, tmp_path):
+    # 200k windows: the CSV text goes to the file one block of rows at a
+    # time, never joined, and equals what the same command writes to stdout.
+    out = tmp_path / "probe.csv"
+    argv = ["probe", "--pri", "10", "--duration", "2000000", "--noise", "moderate"]
+    run(capsys, "probe", "--pri", "10", "--duration", "100", "--noise", "moderate")
+    tracemalloc.start()  # after a short run has loaded the noise filter
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main([*argv, "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    text = out.read_bytes()
+    assert code == 0 and text.count(b"\n") > 2 * CSV_WRITE_ROWS + 1
+    assert peak <= 1.5 * len(text)
+    assert run(capsys, *argv) == (0, text.decode(), "")
+
+
+@pytest.mark.parametrize("command", ["probe", "simulate"])
+def test_duration_rounds_up_to_whole_windows(capsys, tmp_path, command):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("0 0 500\n")
+    argv = [command, *([str(schedule)] if command == "simulate" else [])]
+    code, stdout, _ = run(capsys, *argv, *PRI, "--duration", "1050")
+    assert code == 0
+    assert [line.split(",")[0] for line in stdout.splitlines()[1:]] == [
+        str(start) for start in range(0, 1100, 100)
+    ]
 
 
 def test_config_file_reaches_simulation(capsys, tmp_path):

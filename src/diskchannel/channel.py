@@ -317,29 +317,25 @@ def _csv_table(text: str) -> np.ndarray:
 def _cell_table(rows: list[str], numbers: list[int], faults: dict) -> np.ndarray:
     """A piece's data rows, on the given line numbers, read with int() and float().
 
-    A row that does not hold two cells raises at once. If numpy's conversion
-    refuses a cell, the cells are read one by one, and faults keeps, in text
-    order, the first message of each kind: 'start' or 'value' for a cell
-    that int() or float() refuses, 'overflow' for a start beyond 64 bits.
+    A row that does not hold two cells raises at once. Otherwise each cell
+    is read on its own, and faults keeps, in text order, the first message
+    of each kind: 'start' or 'value' for a cell that int() or float()
+    refuses, 'overflow' for a start beyond 64 bits.
     """
     if set(map(str.count, rows, repeat(","))) - {1}:
         row = next(row for row in rows if row.count(",") != 1)
         raise ValueError(f"trace row {row!r} does not hold two cells")
     cells = ",".join(rows).split(",")  # start, value, start, value, ...
     table = np.zeros(len(rows), _CSV_ROW)
-    try:
-        table["value"] = np.array(cells[1::2], dtype=np.float64)
-        table["start"] = np.array(cells[0::2], dtype=np.int64)
-    except (OverflowError, ValueError):
-        for n, cell in enumerate(cells):
-            row, (field, name, parse, kind) = n // 2, _CSV_COLUMNS[n % 2]
-            try:
-                table[field][row] = parse(cell)
-            except ValueError:
-                message = f"line {numbers[row]}: {name} must be {kind}, got {cell!r}"
-                faults.setdefault(field, message)
-            except OverflowError:
-                faults.setdefault("overflow", "a window start does not fit in 64 bits")
+    for n, cell in enumerate(cells):
+        row, (field, name, parse, kind) = n // 2, _CSV_COLUMNS[n % 2]
+        try:
+            table[field][row] = parse(cell)
+        except ValueError:
+            message = f"line {numbers[row]}: {name} must be {kind}, got {cell!r}"
+            faults.setdefault(field, message)
+        except OverflowError:
+            faults.setdefault("overflow", "a window start does not fit in 64 bits")
     return table
 
 
@@ -370,15 +366,12 @@ def _demand_segments(
     The first segment starts at 0; the last one ends at run_duration_ms.
     """
     times, steps = interferer.demand_steps(run_duration_ms)
-    if schedule.intervals:
-        edges = np.asarray(schedule.intervals, dtype=np.int64) + lead_in_ms
-        n = schedule.n_accessors
-        times = np.concatenate((times, edges[:, 0], edges[:, 1]))
-        steps = np.concatenate(
-            (steps, np.repeat(np.array([n, -n], dtype=np.int64), len(edges)))
-        )
-    times = np.concatenate((np.zeros(1, dtype=np.int64), times))
-    steps = np.concatenate((np.zeros(1, dtype=np.int64), steps))
+    edges = np.asarray(schedule.intervals, dtype=np.int64).reshape(-1, 2) + lead_in_ms
+    n, zero = schedule.n_accessors, np.zeros(1, dtype=np.int64)
+    times = np.concatenate((zero, times, edges[:, 0], edges[:, 1]))
+    steps = np.concatenate(
+        (zero, steps, np.repeat(np.array([n, -n], dtype=np.int64), len(edges)))
+    )
     inside = times < run_duration_ms
     times, steps = times[inside], steps[inside]
     # A sorted dedupe rather than np.unique, which on numpy >= 2 imports all
@@ -532,38 +525,58 @@ def _load_linear_filter():
 
     Importing scipy.signal imports most of scipy (1.3-1.7 s and ~65 MB with
     scipy 1.17 on a 2-vCPU VM) for the one routine lfilter hands a filter
-    with len(a) > 1 to. The top-level package is cheap, since its
-    subpackages load lazily, and tells where the extension file is. That
-    file is loaded under its real name, whose sys.modules entry is then
-    taken out again: a later import of scipy.signal builds the package
-    whole and finds the same function. A module already imported under
-    that name is used as it is.
+    with len(a) > 1 to. scipy's import spec tells where the extension file
+    is without running scipy/__init__ (0.1 ms, against ~14 ms to import
+    scipy). Only if the file is missing there or fails to load is scipy
+    imported and the load tried again, since its __init__ prepares what
+    the extension needs on some platforms (the DLL directory of Windows
+    wheels). A module already imported under that name is used as it is.
     """
-    import importlib.machinery
     import importlib.util
-
-    import scipy
 
     name = "scipy.signal._sigtools"
     module = sys.modules.get(name)
     if module is None:
-        stem = os.path.join(os.path.dirname(scipy.__file__), "signal", "_sigtools")
-        suffixes = importlib.machinery.EXTENSION_SUFFIXES
-        path = next((stem + s for s in suffixes if os.path.isfile(stem + s)), None)
-        if path is None:
-            raise ImportError(
-                f"no extension file {stem}<suffix> for a suffix in {suffixes}",
-                name=name, path=stem,
-            )
-        loader = importlib.machinery.ExtensionFileLoader(name, path)
         try:
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_file_location(name, path, loader=loader)
-            )
-            loader.exec_module(module)
-        finally:
-            sys.modules.pop(name, None)
+            module = _load_extension(name, importlib.util.find_spec("scipy"))
+        except ImportError:
+            import scipy
+
+            module = _load_extension(name, scipy.__spec__)
     return module._linear_filter
+
+
+def _load_extension(name: str, package):
+    """The extension module name, loaded from its file alone.
+
+    package is the import spec of the top-level package that holds the
+    file, or None if it is not installed. The module is loaded under its
+    real name, whose sys.modules entry is then taken out again: a later
+    import of name builds its parent packages whole and finds the same
+    functions.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    if package is None:
+        raise ImportError(f"{name}: its package is not installed", name=name)
+    stem = os.path.join(package.submodule_search_locations[0], *name.split(".")[1:])
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((stem + s for s in suffixes if os.path.isfile(stem + s)), None)
+    if path is None:
+        raise ImportError(
+            f"no extension file {stem}<suffix> for a suffix in {suffixes}",
+            name=name, path=stem,
+        )
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    try:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader)
+        )
+        loader.exec_module(module)
+    finally:
+        sys.modules.pop(name, None)
+    return module
 
 
 def _linear_filter():

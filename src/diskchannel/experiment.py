@@ -259,41 +259,40 @@ def _decode_trials(
 ) -> list[tuple[int, str | None]]:
     """_decode_trial at each seed, results in seed order.
 
-    With several CPUs and seeds, the calling thread and up to one pool
-    helper per other CPU each take the next seed until none is left. Every
-    trial has ended before a result or an error leaves, so no trial
-    outlives the call, and the error raised is that of the first seed that
-    failed. Otherwise the trials run in the calling thread alone.
+    The calling thread and one pool helper per other CPU, up to one thread
+    per seed, each take the next seed until none is left; with one CPU or
+    one seed the caller runs them all, through the same loop. Every trial
+    has ended before a result or an error leaves, so no trial outlives the
+    call, and the error raised is that of the first seed that failed.
     """
     helpers = min(_cpu_count(), len(seeds)) - 1
-    if helpers == 0:
-        return [_decode_trial(transmission, seed, payload) for seed in seeds]
-    from concurrent.futures import Future, wait
-
-    trials = [(seed, Future()) for seed in seeds]
-    unclaimed = iter(trials)
+    outcomes: list = [None] * len(seeds)  # a result, or the error raised
+    unclaimed = iter(range(len(seeds)))
     claim_lock = threading.Lock()
 
     def run_trials() -> None:
         while True:
             with claim_lock:
-                seed, outcome = next(unclaimed, (None, None))
-            if outcome is None:
+                i = next(unclaimed, None)
+            if i is None:
                 return
             try:
-                outcome.set_result(_decode_trial(transmission, seed, payload))
+                outcomes[i] = _decode_trial(transmission, seeds[i], payload)
             except Exception as exc:
-                outcome.set_exception(exc)
+                outcomes[i] = exc
 
-    pool = _trial_pool()
-    running = [pool.submit(run_trials) for _ in range(helpers)]
+    running = [_trial_pool().submit(run_trials) for _ in range(helpers)]
     try:
         run_trials()
     finally:
-        wait(running)
+        for helper in running:
+            helper.exception()  # waits for it
     for helper in running:
         helper.result()
-    return [outcome.result() for _, outcome in trials]
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def run_ber(spec: ExperimentSpec) -> BerReport:

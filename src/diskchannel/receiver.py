@@ -142,9 +142,9 @@ def detect_bit_start(trace: Sequence[float], config: DecoderConfig) -> int:
     means = np.subtract(s1[spb:], s1[:-spb], out=x[:n_variances])
     means /= spb
     # (s2[spb:] - s2[:-spb]) / spb - means * means, padded with inf to
-    # whole windows
+    # whole windows, in s1's buffer: s1 is not read again
     n_windows = n // spb
-    grid = np.empty(n_windows * spb)
+    grid = s1[: n_windows * spb]
     variances = np.subtract(s2[spb:], s2[:-spb], out=grid[:n_variances])
     variances /= spb
     variances -= np.multiply(means, means, out=means)
@@ -174,8 +174,6 @@ def per_bit_averages(
         raise ValueError(f"offset must be in [0, {spb}), got {offset}")
     values = np.asarray(trace, dtype=np.float64)[offset:]
     n_bits = values.size // spb
-    if n_bits == 0:
-        return ()
     means = values[: n_bits * spb].reshape(n_bits, spb).mean(axis=1)
     return tuple(float(m) for m in means)
 

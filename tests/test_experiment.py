@@ -136,10 +136,10 @@ def test_run_ber_on_one_cpu_starts_no_thread(monkeypatch):
     assert experiment._pool is None
 
 
-@pytest.mark.skipif(
-    experiment._cpu_count() < 2, reason="helpers run trials only with 2+ CPUs"
-)
-def test_a_failed_trial_raises_after_every_other_trial_ended(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failed_trial_raises_after_every_other_trial_ended(monkeypatch, cpus):
+    monkeypatch.setattr(experiment, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(experiment, "_pool", None)
     finished = []
     threads = set()
 
@@ -152,13 +152,18 @@ def test_a_failed_trial_raises_after_every_other_trial_ended(monkeypatch):
         return 0, None
 
     monkeypatch.setattr(experiment, "_decode_trial", decode_trial)
-    with pytest.raises(RuntimeError, match="trial 1 failed"):
-        run_ber(fast_spec(n_trials=5))
+    try:
+        with pytest.raises(RuntimeError, match="trial 1 failed"):
+            run_ber(fast_spec(n_trials=5))
+    finally:
+        if experiment._pool is not None:
+            experiment._pool.shutdown()
     assert sorted(finished) == [0, 2, 3, 4]
     caller = threading.current_thread().name
     assert all(
         name == caller or name.startswith("diskchannel-trial") for name in threads
     )
+    assert len(threads) <= cpus
 
 
 def test_run_ber_on_two_cpus_runs_on_the_caller_and_one_helper(monkeypatch):

@@ -56,16 +56,17 @@ def run_fresh(code: str) -> tuple[int, str, str]:
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # The noisy run filters the wander, which must not import scipy.signal,
-    # and builds the noiseless trace, which must not import numpy.ma. numpy
-    # 1.x imports numpy.ma with numpy, so only modules the run adds count.
+    # The noisy run filters the wander, which must import no scipy module,
+    # the top-level package included, and builds the noiseless trace, which
+    # must not import numpy.ma. numpy 1.x imports numpy.ma with numpy, so
+    # only modules the run adds count.
     code = """
         import sys, diskchannel.cli
         def watched():
             return {m for m in sys.modules
-                    if (m + ".").startswith(("scipy.signal.", "numpy.ma."))}
+                    if (m + ".").startswith(("scipy.", "numpy.ma."))}
         before = watched()
-        imported = sorted(m for m in before if m.startswith("scipy."))
+        imported = sorted(m for m in before if m.startswith("scipy"))
         argv = ["transmit", "--bits", "1011", "--bt", "1000", "--pri", "100",
                 "--noise", "moderate", "--seed", "3"]
         code = diskchannel.cli.main(argv)
@@ -73,6 +74,38 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     """
     exit_code, out, err = run_fresh(code)
     assert (exit_code, out.splitlines()[-1], err) == (0, "[] 0 []", "")
+
+
+def test_wander_filter_loads_through_scipy_when_its_file_is_not_found():
+    # scipy's import spec names numpy's directory, which holds no
+    # signal/_sigtools*, so the loader imports scipy and loads it from there.
+    code = """
+        import importlib.machinery, importlib.util, sys
+        import numpy as np
+
+        asked, find_spec = [], importlib.util.find_spec
+        def find_elsewhere(name, package=None):
+            if name != "scipy":
+                return find_spec(name, package)
+            asked.append(name)
+            spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+            spec.submodule_search_locations = list(np.__path__)
+            return spec
+        importlib.util.find_spec = find_elsewhere
+
+        from diskchannel.channel import _linear_filter
+        linear_filter = _linear_filter()
+        print(asked, "scipy" in sys.modules, "scipy.signal" in sys.modules)
+        importlib.util.find_spec = find_spec
+        from scipy.signal import lfilter
+
+        innovations = np.random.default_rng(5).standard_normal(5000)
+        b, a, state = np.array([0.17]), np.array([1.0, -0.9997]), np.array([0.4])
+        ours = linear_filter(b, a, innovations, -1, state)
+        theirs = lfilter(b, a, innovations, zi=state)
+        print(all(np.array_equal(x, y) for x, y in zip(ours, theirs)))
+    """
+    assert run_fresh(code) == (0, "['scipy'] True False\nTrue\n", "")
 
 
 def test_scipy_signal_imports_after_the_wander_filter_loaded():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,27 @@ def test_detect_bit_start_keeps_precision_under_large_dc_level(amplitude):
     assert bit_start_full_pass(values, config) == want
 
 
+def test_detect_bit_start_holds_at_most_three_and_a_half_traces():
+    # The centred copy and the two cumulative sums, with the variances
+    # written into the first sum's buffer: 3.17 traces here, where a fresh
+    # variance array makes it 4.17.
+    spb, offset = 200, 37
+    rng = np.random.default_rng(4)
+    wave = np.repeat(rng.integers(0, 2, 1000), spb)[: 1000 * spb - offset]
+    values = np.concatenate((np.zeros(offset), wave)) * 5.0 + 10.0
+    values += rng.normal(0.0, 0.5, values.size)
+    config = DecoderConfig(bit_time_ms=spb * 10, probe_interval_ms=10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = detect_bit_start(values, config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert found == offset
+    assert peak <= 3.5 * values.nbytes
+
+
 def test_detect_bit_start_single_candidate_last_window_abstains():
     # the second half slips 3 samples and is cut back to whole windows;
     # windows 1, 4 and 6 vote 0, 3 and 3, the rest are flat and abstain,
@@ -209,6 +231,7 @@ def test_per_bit_averages_groups_and_drops_tail():
     config = DecoderConfig(bit_time_ms=20, probe_interval_ms=10)
     assert per_bit_averages(values, 0, config) == (2.0, 3.0)
     assert per_bit_averages(values, 1, config) == (2.5, 6.5)
+    assert per_bit_averages(values[:1], 0, config) == ()
 
 
 def test_per_bit_averages_offset_range():

@@ -16,7 +16,7 @@ stepped through millisecond by millisecond, nor read by read in Python.
 That noiseless raw trace is the same for every seed and is kept as runs
 of equal reads; each seed expands the runs into a buffer of its own,
 overlays its noise there in place, and averages the result into probing
-windows of a ContentionTrace, which holds read-only arrays.
+windows of a ContentionTrace, which holds its values read-only.
 
 Two noise terms ride on each raw read: white Gaussian measurement noise
 (noise_stddev_ms) and a slow mean-reverting baseline wander
@@ -28,6 +28,7 @@ deterministic per seed.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 import sys
@@ -35,7 +36,7 @@ import threading
 import warnings
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -166,52 +167,40 @@ class InterfererProfile:
 class ContentionTrace:
     """Averaged probe latencies, one value per probing window.
 
-    It holds read-only int64 window starts and float64 values, copied from
-    the sequences it is built from unless those already are read-only
-    arrays of that type. Two traces are equal when their probe interval,
-    starts and values are; a trace cannot be hashed. Every trace is
-    checked here, from the simulator or a CSV file alike: one start per
-    value, finite values, and starts that rise by probe_interval_ms.
+    Window k starts at start_ms + k * probe_interval_ms; the values are
+    read-only float64, copied unless given as such. Equal traces have equal
+    intervals, first starts and values; a trace cannot be hashed. A start_ms
+    that is not an integer raises TypeError, then in order: values not 1-D,
+    a value not finite, a probe interval under 1, a last start past 64 bits.
     """
 
     probe_interval_ms: int
-    window_starts_ms: np.ndarray
     values_ms: np.ndarray
+    start_ms: int = 0
 
     def __post_init__(self) -> None:
-        starts = _read_only(self.window_starts_ms, np.int64)
-        values = _read_only(self.values_ms, np.float64)
-        object.__setattr__(self, "window_starts_ms", starts)
+        values = np.asarray(self.values_ms, dtype=np.float64)
+        if values.flags.writeable:
+            values = values.copy()
+            values.flags.writeable = False
+        start, pri = operator.index(self.start_ms), self.probe_interval_ms
         object.__setattr__(self, "values_ms", values)
-        if starts.ndim != 1 or starts.shape != values.shape:
-            raise ValueError(
-                f"a trace needs one window start per value, got {starts.size} "
-                f"starts and {values.size} values"
-            )
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = np.argmin(finite)
-            raise ValueError(
-                f"trace value {values[bad]} at window start {starts[bad]} is not finite"
-            )
-        steps = np.diff(starts)
-        if (steps < 1).any():
-            raise ValueError("window starts do not rise")
-        if self.probe_interval_ms < 1:
-            raise ValueError(
-                f"probe_interval_ms must be >= 1, got {self.probe_interval_ms}"
-            )
-        if (steps != self.probe_interval_ms).any():
-            raise ValueError(
-                f"window starts are not evenly spaced {self.probe_interval_ms} ms apart"
-            )
+        object.__setattr__(self, "start_ms", start)
+        if values.ndim != 1:
+            raise ValueError(f"trace values must be 1-D, got {values.ndim} dimensions")
+        _check_finite(values, lambda k: start + k * pri)
+        if pri < 1:
+            raise ValueError(f"probe_interval_ms must be >= 1, got {pri}")
+        last = start + max(values.size - 1, 0) * pri
+        if not -(2**63) <= start <= last < 2**63:
+            raise ValueError(f"window starts {start} to {last} do not fit in 64 bits")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContentionTrace):
             return NotImplemented
         return (
             self.probe_interval_ms == other.probe_interval_ms
-            and np.array_equal(self.window_starts_ms, other.window_starts_ms)
+            and self.start_ms == other.start_ms
             and np.array_equal(self.values_ms, other.values_ms)
         )
 
@@ -225,9 +214,12 @@ class ContentionTrace:
         that writes each block out holds about one block, not the text.
         """
         yield _CSV_HEADER + "\n"
+        pri = self.probe_interval_ms
         for i in range(0, self.values_ms.size, CSV_WRITE_ROWS):
-            starts = self.window_starts_ms[i : i + CSV_WRITE_ROWS].tolist()
             values = self.values_ms[i : i + CSV_WRITE_ROWS].tolist()
+            first = self.start_ms + i * pri
+            # An exact stop: a stop near or past 2**63 takes the slow range iterator.
+            starts = range(first, first + (len(values) - 1) * pri + 1, pri)
             yield "".join([f"{s},{v!r}\n" for s, v in zip(starts, values)])
 
     def to_csv(self) -> str:
@@ -253,12 +245,31 @@ class ContentionTrace:
         under two rows; then, if any value is not a number, the first line
         with a cell that is not a number; otherwise the first bad start,
         either one beyond 64 bits or a line whose start is not an integer.
+        Then a value that is not finite, named by its row's start; a step
+        under 1 anywhere ("do not rise"); uneven steps; and the constructor's
+        faults, which only starts that wrap round the int64 range reach.
         """
         table = _csv_table(text)
-        table.flags.writeable = False  # its columns are handed over
+        table.flags.writeable = False  # its value column is handed over
         starts, values = table["start"], table["value"]
+        _check_finite(values, starts.__getitem__)
         step = int(starts[1]) - int(starts[0])  # in Python: it may not fit in int64
-        return cls(step, starts, values)
+        blocks = [starts[i : i + CSV_WRITE_ROWS + 1]  # not one trace-sized diff
+                  for i in range(0, starts.size - 1, CSV_WRITE_ROWS)]
+        if any((np.diff(block) < 1).any() for block in blocks):
+            raise ValueError("window starts do not rise")
+        if step >= 1 and any((np.diff(block) != step).any() for block in blocks):
+            raise ValueError(f"window starts are not evenly spaced {step} ms apart")
+        return cls(step, values, int(starts[0]))
+
+
+def _check_finite(values: np.ndarray, start_of: Callable[[int], object]) -> None:
+    """Raise unless every value is finite; start_of(k) is window k's start."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        message = f"trace value {values[bad]} at window start {start_of(bad)}"
+        raise ValueError(message + " is not finite")
 
 
 _CSV_HEADER = "window_start_ms,avg_access_time_ms"
@@ -337,15 +348,6 @@ def _cell_table(rows: list[str], numbers: list[int], faults: dict) -> np.ndarray
         except OverflowError:
             faults.setdefault("overflow", "a window start does not fit in 64 bits")
     return table
-
-
-def _read_only(data, dtype) -> np.ndarray:
-    """data as a read-only array: a copy, unless it already is one."""
-    array = np.asarray(data, dtype=dtype)
-    if array.flags.writeable:
-        array = array.copy()
-        array.flags.writeable = False
-    return array
 
 
 def whole_windows(span_ms: int, pri_ms: int) -> int:
@@ -635,10 +637,8 @@ def noisy_windows(
 
     per_window = pri_ms // disk.raw_sample_period_ms
     values = reads.reshape(-1, per_window).mean(axis=1)
-    run_ms = reads.size * disk.raw_sample_period_ms
-    starts = np.arange(0, run_ms, pri_ms, dtype=np.int64)
-    starts.flags.writeable = values.flags.writeable = False  # handed over
-    return ContentionTrace(pri_ms, starts, values)
+    values.flags.writeable = False  # handed over
+    return ContentionTrace(pri_ms, values)
 
 
 def simulate(

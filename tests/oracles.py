@@ -105,8 +105,7 @@ def noisy_windows_whole(
         noisy = np.maximum(noisy, CLAMP_FRACTION * disk.base_latency_ms)
     per_window = pri_ms // disk.raw_sample_period_ms
     values = noisy.reshape(-1, per_window).mean(axis=1)
-    starts = np.arange(0, raw.size * disk.raw_sample_period_ms, pri_ms)
-    return ContentionTrace(pri_ms, starts, values)
+    return ContentionTrace(pri_ms, values)
 
 
 def bit_start_vote_loop(
@@ -288,9 +287,9 @@ def destuff_loop(stuffed: list[int]) -> tuple[int, ...]:
 def to_csv_loop(trace: ContentionTrace) -> str:
     """ContentionTrace.to_csv as it was before the block writer: one line per row."""
     lines = ["window_start_ms,avg_access_time_ms"]
-    starts, values = trace.window_starts_ms.tolist(), trace.values_ms.tolist()
-    for start, value in zip(starts, values):
-        lines.append(f"{start},{value!r}")
+    start, pri = trace.start_ms, trace.probe_interval_ms
+    for k, value in enumerate(trace.values_ms.tolist()):
+        lines.append(f"{start + k * pri},{value!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -298,7 +297,9 @@ def trace_csv_loop(text: str) -> ContentionTrace:
     """ContentionTrace.from_csv as it was before the one-pass reader.
 
     A per-row comma count, then the cells of all rows in two numpy
-    conversions; a cell they refuse is named by its line.
+    conversions; a cell they refuse is named by its line. Then the checks
+    that the trace constructor made on a whole start column, when a trace
+    still held one, in their order and words.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "window_start_ms,avg_access_time_ms":
@@ -317,8 +318,21 @@ def trace_csv_loop(text: str) -> ContentionTrace:
         raise ValueError("a window start does not fit in 64 bits") from None
     except ValueError as exc:
         raise _bad_trace_cell(text) or exc from None
-    starts.flags.writeable = values.flags.writeable = False  # handed over
-    return ContentionTrace(int(starts[1] - starts[0]), starts, values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.argmin(finite)
+        raise ValueError(
+            f"trace value {values[bad]} at window start {starts[bad]} is not finite"
+        )
+    steps = np.diff(starts)
+    if (steps < 1).any():
+        raise ValueError("window starts do not rise")
+    pri = int(starts[1] - starts[0])
+    if pri < 1:
+        raise ValueError(f"probe_interval_ms must be >= 1, got {pri}")
+    if (steps != pri).any():
+        raise ValueError(f"window starts are not evenly spaced {pri} ms apart")
+    return ContentionTrace(pri, values, int(starts[0]))
 
 
 def _bad_trace_cell(text: str) -> ValueError | None:

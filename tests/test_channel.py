@@ -110,7 +110,8 @@ def test_noiseless_simulation_matches_loop_oracle():
     trace = simulate(schedule, disk, interferer, 200, 2400, lead_in_ms=300, seed=4)
     oracle = noiseless_trace_loop(schedule, disk, interferer, 200, 2400, 300)
     assert list(trace.values_ms) == pytest.approx(oracle, rel=0, abs=1e-9)
-    assert trace.window_starts_ms.tolist() == list(range(0, 2400, 200))
+    assert (trace.probe_interval_ms, trace.start_ms) == (200, 0)
+    assert trace.values_ms.size == 12
 
 
 def test_noiseless_simulation_matches_loop_oracle_under_overload():
@@ -260,7 +261,8 @@ def test_noise_drawn_in_chunks_equals_whole_draws(reads, noise, wander):
     )
     got = noisy_windows(runs, disk, period, seed=reads)
     want = noisy_windows_whole(np.repeat(*runs), disk, period, seed=reads)
-    assert got.window_starts_ms.tobytes() == want.window_starts_ms.tobytes()
+    assert got.probe_interval_ms == want.probe_interval_ms
+    assert got.start_ms == want.start_ms
     assert got.values_ms.tobytes() == want.values_ms.tobytes()
     floor = CLAMP_FRACTION * disk.base_latency_ms
     assert (floor in got.values_ms) == (noise == 8.0)
@@ -272,6 +274,21 @@ def test_wander_filter_names_a_missing_extension_file(monkeypatch):
     with pytest.raises(ImportError, match=r"_sigtools<suffix> .*'\.missing'"):
         _load_linear_filter()
     assert "scipy.signal._sigtools" not in sys.modules
+
+
+def test_simulate_holds_at_most_two_and_a_half_times_its_values():
+    # Windows of one read: the read buffer and the values it averages into
+    # are the trace-sized arrays; the time axis is two integers.
+    size = 200_000
+    disk, none = DiskModel.preset("moderate"), InterfererProfile.none()
+    period = disk.raw_sample_period_ms
+    schedule = make_schedule((1, 0, 1, 1), bit_time=100)
+    simulate(schedule, disk, none, period, 400 * period)  # loads the wander filter
+    trace, peak = _traced_peak(
+        lambda: simulate(schedule, disk, none, period, size * period, seed=1)
+    )
+    assert trace.values_ms.size == size
+    assert peak <= 2.5 * trace.values_ms.nbytes
 
 
 def test_noise_floor_clamp():
@@ -315,11 +332,10 @@ def test_trace_holds_read_only_arrays():
     trace = simulate(
         schedule, DiskModel.preset("moderate"), InterfererProfile.none(), 100, 600
     )
-    fields = ((trace.window_starts_ms, np.int64), (trace.values_ms, np.float64))
-    for array, dtype in fields:
-        assert isinstance(array, np.ndarray) and array.dtype == dtype
-        with pytest.raises(ValueError):
-            array[0] = 0
+    assert isinstance(trace.values_ms, np.ndarray)
+    assert trace.values_ms.dtype == np.float64
+    with pytest.raises(ValueError):
+        trace.values_ms[0] = 0
     assert trace.values() is trace.values_ms
     with pytest.raises(TypeError):
         hash(trace)
@@ -327,9 +343,9 @@ def test_trace_holds_read_only_arrays():
 
 def test_trace_built_from_tuples_or_a_writable_array_copies_them():
     values = np.array([10.0, 12.5, 10.0])
-    trace = ContentionTrace(100, (0, 100, 200), values)
+    trace = ContentionTrace(100, values, np.int64(0))
     values[0] = 99.0
-    assert trace.window_starts_ms.dtype == np.int64
+    assert type(trace.start_ms) is int
     assert trace.values_ms.tolist() == [10.0, 12.5, 10.0]
     assert trace.to_csv() == (
         "window_start_ms,avg_access_time_ms\n0,10.0\n100,12.5\n200,10.0\n"
@@ -343,7 +359,7 @@ def test_to_csv_in_blocks_equals_the_line_by_line_writer(size):
     rng = np.random.default_rng(size)
     values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size)
     values[::3] = np.round(values[::3])  # repr of integral floats ends in '.0'
-    trace = ContentionTrace(7, np.arange(size) * 7 - 700, values)
+    trace = ContentionTrace(7, values, -700)
     assert trace.to_csv() == to_csv_loop(trace)
 
 
@@ -363,7 +379,7 @@ def test_trace_csv_reads_and_writes_in_at_most_three_times_its_text():
     # as Python objects, not one object per row of the whole trace.
     size = 200_000
     rng = np.random.default_rng(0)
-    trace = ContentionTrace(10, np.arange(size) * 10, 12.0 + rng.standard_normal(size))
+    trace = ContentionTrace(10, 12.0 + rng.standard_normal(size))
     text, write_peak = _traced_peak(trace.to_csv)
     parsed, read_peak = _traced_peak(lambda: ContentionTrace.from_csv(text))
     assert parsed == trace
@@ -399,24 +415,58 @@ def _trace_or_error(parse, text):
 
 
 def test_trace_equality_compares_interval_starts_and_values():
-    trace = ContentionTrace(100, (0, 100), (10.0, 12.0))
-    assert trace == ContentionTrace(100, np.array([0, 100]), [10.0, 12.0])
-    assert trace != ContentionTrace(100, (100, 200), (10.0, 12.0))
-    assert trace != ContentionTrace(100, (0, 100), (10.0, 12.5))
-    assert ContentionTrace(100, (0,), (10.0,)) != ContentionTrace(200, (0,), (10.0,))
-    assert trace != (100, (0, 100), (10.0, 12.0))
+    trace = ContentionTrace(100, (10.0, 12.0))
+    assert trace == ContentionTrace(100, np.array([10.0, 12.0]), np.int64(0))
+    assert trace != ContentionTrace(100, (10.0, 12.0), 100)
+    assert trace != ContentionTrace(100, (10.0, 12.5))
+    assert ContentionTrace(100, (10.0,)) != ContentionTrace(200, (10.0,))
+    assert trace != (100, (10.0, 12.0))
 
 
-@pytest.mark.parametrize("pri, starts, values, message", [
-    (10, (0, 10, 20), (1.0, 2.0), "one window start per value"),
-    (10, (0, 25, 50), (1.0, 2.0, 3.0), "evenly spaced"),
-    (10, (0, 10, 10), (1.0, 2.0, 3.0), "do not rise"),
-    (10, (0, 10), (1.0, float("nan")), "not finite"),
-    (0, (0,), (1.0,), "probe_interval_ms"),
+# The ids are the ones these cases had when each also listed its window starts.
+@pytest.mark.parametrize("pri, values, start, message", [
+    pytest.param(10, (1.0, float("nan")), 5, "nan at window start 15 is not finite",
+                 id="10-starts3-values3-not finite"),
+    pytest.param(0, (1.0,), 5, "probe_interval_ms",
+                 id="0-starts4-values4-probe_interval_ms"),
 ])
-def test_trace_constructor_rejects_inconsistent_traces(pri, starts, values, message):
+def test_trace_constructor_rejects_inconsistent_traces(pri, values, start, message):
     with pytest.raises(ValueError, match=message):
-        ContentionTrace(pri, starts, values)
+        ContentionTrace(pri, values, start)
+
+
+# As an int64 start array did, so to_csv writes no start that from_csv refuses.
+@pytest.mark.parametrize("size, start, message", [
+    (3, 2**63 - 15, f"^window starts {2**63 - 15} to {2**63 + 5} do not fit in 64 bits"),
+    (2, 2**63 - 10, "fit in 64 bits"),
+    (2, -(2**63) - 1, "fit in 64 bits"),
+    (0, 2**63, "fit in 64 bits"),
+], ids=["top", "top by one", "bottom", "empty"])
+def test_trace_constructor_rejects_starts_past_64_bits(size, start, message):
+    with pytest.raises(ValueError, match=message):
+        ContentionTrace(10, (1.0,) * size, start)
+
+
+def test_trace_constructor_rejects_a_start_that_is_not_an_integer():
+    with pytest.raises(TypeError):
+        ContentionTrace(10, (1.0, 2.0), 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=9),
+    st.integers(1, 10**12),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+@example([1.0, 2.0], 10, 0, True)  # the last start is 2**63 - 1
+@example([1.0, 2.0], 10, 0, False)  # the first start is -2**63
+def test_trace_csv_round_trips_starts_at_both_64_bit_edges(values, pri, gap, top):
+    last_offset = (len(values) - 1) * pri
+    start = 2**63 - 1 - gap - last_offset if top else -(2**63) + gap
+    trace = ContentionTrace(pri, values, start)
+    assert ContentionTrace.from_csv(trace.to_csv()) == trace
+    assert trace.to_csv() == to_csv_loop(trace)
 
 
 def test_trace_csv_rejects_bad_header():
@@ -426,8 +476,23 @@ def test_trace_csv_rejects_bad_header():
 
 def test_trace_csv_rejects_uneven_spacing():
     csv = "window_start_ms,avg_access_time_ms\n0,10.0\n100,10.0\n300,10.0\n"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="evenly spaced 100 ms apart"):
         ContentionTrace.from_csv(csv)
+
+
+def test_trace_csv_falling_start_in_a_late_block_wins_over_uneven_spacing():
+    # Steps are checked a block at a time; "do not rise" comes first wherever it is.
+    size = 3 * CSV_WRITE_ROWS + 1
+    starts = list(range(0, 10 * size, 10))
+    starts[5] += 3  # uneven, in the first block
+    starts[-1] = starts[-2] - 10  # falls, in the last block
+    rows = "".join(f"{t},10.0\n" for t in starts)
+    with pytest.raises(ValueError, match="^window starts do not rise$"):
+        ContentionTrace.from_csv(HEADER + rows)
+    starts[-1] = starts[-2] + 10
+    rows = "".join(f"{t},10.0\n" for t in starts)
+    with pytest.raises(ValueError, match="^window starts are not evenly spaced 10 ms"):
+        ContentionTrace.from_csv(HEADER + rows)
 
 
 @pytest.mark.parametrize("starts", [(0, 0, 0), (200, 100, 0)])
@@ -503,8 +568,7 @@ def trace_csv_texts(draw):
     values = draw(st.lists(
         st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size
     ))
-    starts = [first + pri * i for i in range(size)]
-    lines = ContentionTrace(pri, starts, values).to_csv().splitlines()
+    lines = ContentionTrace(pri, values, first).to_csv().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     for _ in range(draw(st.integers(0, 3))):
         row, column = draw(st.sampled_from(rows)), draw(st.integers(0, 1))
@@ -531,8 +595,7 @@ def _parse_outcome(parse, text):
         trace = parse(text)
     except ValueError as exc:
         return str(exc)
-    starts, values = trace.window_starts_ms.tolist(), trace.values_ms.tobytes()
-    return trace.probe_interval_ms, starts, values
+    return trace.probe_interval_ms, trace.start_ms, trace.values_ms.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -544,6 +607,7 @@ def _parse_outcome(parse, text):
 @example(HEADER + "0.0,1.0\n100,2.0\n")  # older numpy reads these through a float
 @example(HEADER + "0,1.0\n100.9,2.0\n")
 @example(HEADER + "0,1.0\n1e2,2.0\n")
+@example(HEADER + "0,nan\n200,1.0\n100,1.0\n")  # not finite, ahead of "do not rise"
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # as outside pytest
 def test_trace_csv_reader_matches_the_cell_by_cell_reader(text):
     assert _parse_outcome(ContentionTrace.from_csv, text) == _parse_outcome(
